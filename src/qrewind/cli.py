@@ -33,14 +33,20 @@ def load_matrices(path) -> tuple[np.ndarray, np.ndarray]:
     """Read the {"V": [[[re,im],...]], "W": ...} exchange format."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"matrices file {path} must hold a JSON object")
     out = []
     for key in ("V", "W"):
         if key not in data:
             raise ValueError(f"matrices file {path} lacks key {key!r}")
-        entries = data[key]
-        mat = np.array([[complex(entries[r][c][0], entries[r][c][1])
-                         for c in range(2)] for r in range(2)])
-        out.append(as_mat2(mat))
+        try:
+            pairs = np.array(data[key], dtype=float)
+        except (TypeError, ValueError):
+            pairs = None
+        if pairs is None or pairs.shape != (2, 2, 2):
+            raise ValueError(f"matrices file {path}: {key!r} must be a 2x2 "
+                             "matrix of [re, im] pairs")
+        out.append(as_mat2(pairs[..., 0] + 1j * pairs[..., 1]))
     return out[0], out[1]
 
 
@@ -97,6 +103,8 @@ def _cmd_verify(args) -> int:
 # ── dist ─────────────────────────────────────────────────────────────────
 
 def _cmd_dist(args) -> int:
+    if args.tmax < 1:
+        raise ValueError("--tmax must be at least 1")
     p = _parse_prob(args.p, args.exact)
     if args.method == "theorem":
         dist = analytics.first_passage_dist(p, args.tmax)
@@ -136,7 +144,7 @@ def _cmd_simulate(args) -> int:
         v=v, w=w, s=args.s, m=args.m, seed=args.seed, runs=args.runs,
         workers=args.workers, dt=args.dt, tau=args.tau,
         mode="contraction" if args.contraction else "unitary",
-    ).validate()
+    )
     stats = engine.monte_carlo(cfg)
     emitters.emit(stats, "json", args.out)
     print(f"wrote {args.out}")
@@ -201,7 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--m", type=int, required=True)
     p_sim.add_argument("--runs", type=int, required=True)
     p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--workers", type=int, default=1,
+                       help="independent RNG streams, run one after another "
+                            "in this process; output depends on (seed, workers)")
     p_sim.add_argument("--dt", type=float, default=1.0)
     p_sim.add_argument("--tau", type=float, default=1.0)
     p_sim.add_argument("--contraction", action="store_true")

@@ -42,11 +42,6 @@ def random_state(rng: np.random.Generator) -> np.ndarray:
             return v / nrm
 
 
-def squared_norm(psi) -> float:
-    v = as_state(psi)
-    return np.vdot(v, v).real
-
-
 @dataclass(frozen=True)
 class QBranches:
     """Unnormalized output branches of one switch-gate application."""

@@ -201,3 +201,29 @@ def test_cli_error_paths(tmp_path, capsys):
                      "--out", str(tmp_path / "x.csv")]) == 2
     assert "error:" in capsys.readouterr().err
     assert cli.main(["required-m", "--pmin", "0", "--q", "0.5"]) == 2
+
+
+@pytest.mark.parametrize("content", [
+    {"V": [[1, 0], [0, 1]], "W": [[1, 0], [0, 1]]},   # 2-level nesting
+    {"V": [[[1, 0], [0, 0]], [[0, 0]]], "W": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+    {"V": "H", "W": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+    [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+])
+def test_cli_rejects_malformed_matrices(tmp_path, capsys, content):
+    mats = tmp_path / "mats.json"
+    mats.write_text(json.dumps(content))
+    assert cli.main(["simulate", "--matrices", str(mats), "--m", "4", "--runs", "10",
+                     "--seed", "1", "--out", str(tmp_path / "s.json")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert cli.main(["curve", "--matrices", str(mats), "--mmax", "4",
+                     "--out", str(tmp_path / "c.csv")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["theorem", "dp", "mc"])
+def test_cli_dist_rejects_nonpositive_tmax(tmp_path, capsys, method):
+    out = tmp_path / "d.csv"
+    assert cli.main(["dist", "--p", "0.5", "--tmax", "0", "--method", method,
+                     "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()

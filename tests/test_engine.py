@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qrewind.analytics import cumulative_success, return_pmf
-from qrewind.engine import (ProtocolConfig, RunOutcome, Statistics, monte_carlo,
-                            run_quantum_protocol, success_curve)
+from qrewind.engine import (LANES, ProtocolConfig, RunOutcome, Statistics,
+                            monte_carlo, run_quantum_protocol, success_curve)
 from qrewind.mat2 import HADAMARD, SIGMA_X, SIGMA_Z, haar_unitary
 from qrewind.qgate import random_state
 from qrewind.walk import run_walk_protocol
@@ -187,3 +187,115 @@ def test_mean_q_count_respects_budget():
     expected_rate = float(sum(return_pmf(0.5, t) for t in range(2, 9)))
     sigma = math.sqrt(expected_rate * (1 - expected_rate) / 2000)
     assert abs(stats.success_rate - expected_rate) < 5 * sigma
+
+
+# ── batched lane kernel against deterministic edges and the scalar oracles ──
+
+def _assert_counts_consistent(stats, runs):
+    assert stats.n_runs == runs
+    assert stats.n_success + stats.n_trim_fail + stats.n_abort == runs
+    assert sum(stats.q_count_hist.values()) == runs
+
+
+def test_kernel_pauli_pair_always_succeeds_at_two():
+    runs = LANES + 5
+    stats = monte_carlo(ProtocolConfig(v=SIGMA_X, w=SIGMA_Z, s=3, m=9, seed=1,
+                                       runs=runs, workers=2))
+    assert stats.n_success == runs
+    assert stats.q_count_hist == {2: runs}
+    assert stats.min_fidelity == pytest.approx(1.0, abs=1e-12)
+    assert stats.mean_fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+def test_kernel_commuting_pair_always_trim_fails():
+    u = haar_unitary(np.random.default_rng(1))
+    stats = monte_carlo(ProtocolConfig(v=u, w=u, m=16, seed=2, runs=700))
+    assert stats.n_trim_fail == 700
+    assert stats.q_count_hist == {16: 700}
+    assert stats.min_fidelity is None and stats.mean_fidelity is None
+
+
+@pytest.mark.parametrize("p, hist", [(1.0, {2: 300}), (0.0, {7: 300})])
+def test_kernel_classical_edges(p, hist):
+    stats = monte_carlo(ProtocolConfig(p_override=p, m=7, seed=3, runs=300,
+                                       workers=3))
+    assert stats.q_count_hist == hist
+    assert stats.n_success == (300 if p == 1.0 else 0)
+    assert stats.n_abort == 0 and stats.mean_fidelity is None
+
+
+def test_kernel_fixed_psi0_certificate():
+    rng = np.random.default_rng(4)
+    v, w = haar_unitary(rng), haar_unitary(rng)
+    stats = monte_carlo(ProtocolConfig(v=v, w=w, s=4, m=200, seed=5, runs=3000,
+                                       workers=2, psi0=random_state(rng)))
+    assert stats.n_success > 100
+    assert stats.min_fidelity >= 1 - 1e-9
+
+
+@pytest.mark.parametrize("runs, workers", [(2 * LANES + 37, 1), (3, 5), (1, 2)])
+@pytest.mark.parametrize("mode", ["unitary", "contraction"])
+def test_kernel_counts_are_exact(runs, workers, mode):
+    scale = 1.0 if mode == "unitary" else 0.9
+    cfg = ProtocolConfig(v=scale * HADAMARD, w=SIGMA_Z, s=2, m=10, seed=6,
+                         runs=runs, workers=workers, mode=mode)
+    _assert_counts_consistent(monte_carlo(cfg), runs)
+    classical = ProtocolConfig(p_override=0.4, m=10, seed=6, runs=runs,
+                               workers=workers)
+    _assert_counts_consistent(monte_carlo(classical), runs)
+
+
+def _assert_same_distribution(counts_a: dict, n_a: int, counts_b: dict, n_b: int):
+    """Two-sample test, 5 sigma per bin, over the union of the bins."""
+    for key in sorted(set(counts_a) | set(counts_b)):
+        a, b = counts_a.get(key, 0), counts_b.get(key, 0)
+        pooled = (a + b) / (n_a + n_b)
+        sigma = math.sqrt(max(pooled * (1 - pooled), 1e-12) * (1 / n_a + 1 / n_b))
+        assert abs(a / n_a - b / n_b) < 5 * sigma, (key, a, b)
+
+
+def _scalar_oracle(cfg: ProtocolConfig, n: int, seed: int) -> tuple[dict, dict]:
+    rng = np.random.default_rng(seed)
+    hist, outcomes = {}, {}
+    for _ in range(n):
+        rec = run_quantum_protocol(cfg, rng)
+        hist[rec.q_count] = hist.get(rec.q_count, 0) + 1
+        outcomes[rec.outcome.value] = outcomes.get(rec.outcome.value, 0) + 1
+    return hist, outcomes
+
+
+@pytest.mark.parametrize("mode", ["unitary", "contraction"])
+def test_kernel_matches_scalar_oracle(mode):
+    rng = np.random.default_rng(7)
+    v, w = haar_unitary(rng), haar_unitary(rng)
+    scale = 1.0 if mode == "unitary" else 0.9
+    cfg = ProtocolConfig(v=scale * v, w=scale * w, s=3, m=12, seed=8,
+                         runs=3 * 10**4, workers=3, mode=mode)
+    stats = monte_carlo(cfg)
+    n_scalar = 6000
+    hist, outcomes = _scalar_oracle(cfg, n_scalar, seed=9)
+    _assert_same_distribution(stats.q_count_hist, cfg.runs, hist, n_scalar)
+    batched = {RunOutcome.SUCCESS.value: stats.n_success,
+               RunOutcome.TRIM_FAIL.value: stats.n_trim_fail,
+               RunOutcome.ABORT.value: stats.n_abort}
+    _assert_same_distribution(batched, cfg.runs, outcomes, n_scalar)
+    if mode == "contraction":
+        assert stats.n_abort > 100 and outcomes[RunOutcome.ABORT.value] > 20
+        assert stats.min_fidelity >= 1 - 1e-8
+    else:
+        assert stats.n_abort == 0
+        assert stats.min_fidelity >= 1 - 1e-9
+
+
+def test_kernel_classical_matches_walk_oracle():
+    cfg = ProtocolConfig(p_override=0.3, m=20, seed=10, runs=3 * 10**4, workers=2)
+    stats = monte_carlo(cfg)
+    rng = np.random.default_rng(11)
+    hist, n_success = {}, 0
+    for _ in range(2 * 10**4):
+        out = run_walk_protocol(0.3, 20, rng)
+        hist[out.q_count] = hist.get(out.q_count, 0) + 1
+        n_success += out.success
+    _assert_same_distribution(stats.q_count_hist, cfg.runs, hist, 2 * 10**4)
+    _assert_same_distribution({"success": stats.n_success}, cfg.runs,
+                              {"success": n_success}, 2 * 10**4)
