@@ -63,6 +63,10 @@ def save_matrices(v, w, path):
 # ── verify ───────────────────────────────────────────────────────────────
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
+    if args.smax < 0 or args.nmax < 0:
+        raise ValueError("--smax and --nmax must be nonnegative")
     rng = np.random.default_rng(args.seed)
     families = {
         "haar": lambda: (haar_unitary(rng), haar_unitary(rng)),

@@ -1,11 +1,12 @@
 """File emitters for distributions, success curves and run statistics.
 
-CSV column contracts: hitting distributions use header t,prob with one row
-per step count including explicit zeros; success curves use header
-m,prob_commutator,prob_full. JSON mirrors field names. SVG output is a
-self-contained 800x600 line chart with linear axes and one polyline per
-curve column. Floats print with 17 significant digits; rational-backed
-values can be written as num/den strings (exact=True).
+Hitting distributions go to CSV with header t,prob and one row per step
+count including explicit zeros. Success curves go to CSV with header
+m,prob_commutator,prob_full, or to a self-contained 800x600 SVG line chart
+with linear axes and one polyline per curve column. Run statistics go to
+JSON with the field names of Statistics.to_dict. Floats print with 17
+significant digits; rational-backed values can be written as num/den
+strings (exact=True).
 """
 from __future__ import annotations
 
@@ -58,35 +59,7 @@ def success_curve_csv(curve: SuccessCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def statistics_csv(stats: Statistics) -> str:
-    lines = ["field,value"]
-    data = stats.to_dict()
-    for key in ("n_runs", "n_success", "n_trim_fail", "n_abort"):
-        lines.append(f"{key},{data[key]}")
-    lines.append(f"success_rate,{fmt_float(data['success_rate'])}")
-    for key in ("min_fidelity", "mean_fidelity"):
-        value = data[key]
-        lines.append(f"{key},{'' if value is None else fmt_float(value)}")
-    for q, count in sorted(stats.q_count_hist.items()):
-        lines.append(f"q_count_{q},{count}")
-    return "\n".join(lines) + "\n"
-
-
 # ── JSON ─────────────────────────────────────────────────────────────────
-
-def hitting_dist_json(dist: HittingDist, exact: bool = False) -> str:
-    if exact and dist.backing == "rational":
-        probs = [f"{v.numerator}/{v.denominator}" for v in dist.probs]
-    else:
-        probs = [float(v) for v in dist.probs]
-    return json.dumps({"backing": dist.backing, "probs": probs}, indent=2) + "\n"
-
-
-def success_curve_json(curve: SuccessCurve) -> str:
-    return json.dumps({"m": curve.m,
-                       "prob_commutator": curve.prob_commutator,
-                       "prob_full": curve.prob_full}, indent=2) + "\n"
-
 
 def statistics_json(stats: Statistics) -> str:
     return json.dumps(stats.to_dict(), indent=2) + "\n"
@@ -153,12 +126,6 @@ def _svg_chart(series: list[tuple[str, list[float], list[float]]],
     return "\n".join(parts) + "\n"
 
 
-def hitting_dist_svg(dist: HittingDist) -> str:
-    ts = [float(t) for t, _ in dist.rows()]
-    ps = [float(v) for v in dist.probs]
-    return _svg_chart([("prob", ts, ps)], "t", "probability")
-
-
 def success_curve_svg(curve: SuccessCurve) -> str:
     ms = [float(m) for m in curve.m]
     return _svg_chart([("prob_commutator", ms, curve.prob_commutator),
@@ -166,34 +133,27 @@ def success_curve_svg(curve: SuccessCurve) -> str:
                       "m", "success probability")
 
 
-def statistics_svg(stats: Statistics) -> str:
-    if stats.q_count_hist:
-        qs = sorted(stats.q_count_hist)
-        xs = [float(q) for q in qs]
-        ys = [stats.q_count_hist[q] / stats.n_runs for q in qs]
-    else:
-        xs, ys = [0.0], [0.0]
-    return _svg_chart([("q_count frequency", xs, ys)], "q_count", "frequency")
-
-
 # ── Dispatch ─────────────────────────────────────────────────────────────
 
 _RENDERERS = {
     (HittingDist, "csv"): hitting_dist_csv,
-    (HittingDist, "json"): hitting_dist_json,
-    (HittingDist, "svg"): lambda d, exact=False: hitting_dist_svg(d),
-    (SuccessCurve, "csv"): lambda c, exact=False: success_curve_csv(c),
-    (SuccessCurve, "json"): lambda c, exact=False: success_curve_json(c),
-    (SuccessCurve, "svg"): lambda c, exact=False: success_curve_svg(c),
-    (Statistics, "csv"): lambda s, exact=False: statistics_csv(s),
-    (Statistics, "json"): lambda s, exact=False: statistics_json(s),
-    (Statistics, "svg"): lambda s, exact=False: statistics_svg(s),
+    (SuccessCurve, "csv"): success_curve_csv,
+    (SuccessCurve, "svg"): success_curve_svg,
+    (Statistics, "json"): statistics_json,
 }
 
 
 def emit(artifact, fmt: str, path, exact: bool = False):
-    """Render a HittingDist, SuccessCurve or Statistics to csv/json/svg."""
+    """Render a HittingDist (csv), SuccessCurve (csv, svg) or Statistics (json).
+
+    exact writes rational hitting probabilities as num/den strings; the
+    other artifacts hold floats only and ignore it.
+    """
     renderer = _RENDERERS.get((type(artifact), fmt))
     if renderer is None:
         raise ValueError(f"cannot emit {type(artifact).__name__} as {fmt!r}")
-    _write_text(path, renderer(artifact, exact=exact))
+    if isinstance(artifact, HittingDist):
+        text = renderer(artifact, exact=exact)
+    else:
+        text = renderer(artifact)
+    _write_text(path, text)

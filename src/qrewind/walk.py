@@ -6,8 +6,9 @@ row. Phase 1 starts at the lower origin and ends on first arrival at the
 upper origin (the accumulated operator word has then been reduced to the
 commutator); phase 2 continues the same graph until the walk closes back at
 the lower origin. This module provides the node algebra, word bookkeeping,
-exact DP oracles for both hitting times, Monte Carlo samplers, and the
-trimmed two-phase controller at the classical level.
+one forward DP for both hitting times (exact through integer masses for
+rational p), the batch Monte Carlo sampler, and the trimmed two-phase
+controller at the classical level.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ import numpy as np
 from .analytics import HittingDist, is_rational_prob
 
 DP_HORIZON_GUARD = 10**4
-DEFAULT_SAMPLE_CAP = 10**5
 
 
 class Row(Enum):
@@ -89,25 +89,6 @@ def node_word(node: WalkNode, moves: list[Move]) -> WordDescriptor:
 
 # ── Monte Carlo sampling ─────────────────────────────────────────────────
 
-def sample_first_passage(p: float, rng: np.random.Generator,
-                         cap: int = DEFAULT_SAMPLE_CAP) -> int | None:
-    """Steps until the walk from the lower origin first hits the top origin.
-
-    Returns None on timeout (more than cap steps). The p = 0 walk drifts
-    right forever and always times out.
-    """
-    p = float(p)
-    row, pos = 0, 0  # 0 = lower, 1 = upper
-    for t in range(1, cap + 1):
-        if rng.random() < p:
-            row ^= 1
-        else:
-            pos += 1 - 2 * row
-        if row == 1 and pos == 0:
-            return t
-    return None
-
-
 @dataclass
 class FirstPassageSample:
     """Histogram of sampled first-passage times, times over cap censored."""
@@ -125,9 +106,12 @@ def sample_first_passage_batch(p: float, runs: int, cap: int, seed: int,
     """Vectorized batch sampler with per-worker derived RNG streams.
 
     Deterministic for a fixed (seed, workers) pair; chunks are assigned to
-    workers in index order.
+    workers in index order. The p = 0 walk drifts right forever, so every
+    run times out.
     """
     p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("probability must lie in [0, 1]")
     if runs < 1 or workers < 1:
         raise ValueError("runs and workers must be positive")
     counts = np.zeros(cap + 1, dtype=np.int64)
@@ -155,114 +139,62 @@ def sample_first_passage_batch(p: float, runs: int, cap: int, seed: int,
     return FirstPassageSample(counts=counts, timeouts=timeouts, runs=runs)
 
 
-# ── Exact DP oracles ─────────────────────────────────────────────────────
+# ── Exact DP oracle ──────────────────────────────────────────────────────
 
-def _check_horizon(t_max: int):
+def _ladder_dp(p, t_max: int, target_row: Row) -> HittingDist:
+    """Forward DP of the walk from the lower origin to an absorbing origin.
+
+    Runs on the whole ladder, positions -t_max..t_max plus a zero guard cell
+    at each end; step t updates only the band -t..t that the walk can reach.
+    Each step's inflow to the origin of target_row is that step's pmf value
+    and then leaves the live mass. Rational p = a/b keeps integer masses
+    scaled by b^t (weights a vertical, b - a horizontal), so every entry is
+    exact; float p runs the same updates in float64, where every term is
+    nonnegative, so nothing cancels.
+    """
     if t_max < 1 or t_max > DP_HORIZON_GUARD:
         raise ValueError(f"t_max must lie in [1, {DP_HORIZON_GUARD}]")
+    rational = is_rational_prob(p)
+    p = Fraction(p) if rational else float(p)
+    if not 0 <= p <= 1:
+        raise ValueError("probability must lie in [0, 1]")
+    if rational:
+        vert, horiz, dtype = p.numerator, p.denominator - p.numerator, object
+    else:
+        vert, horiz, dtype = p, 1.0 - p, float
+    origin = t_max + 1
+    lower, upper = np.zeros((2, 2 * t_max + 3), dtype=dtype)
+    target = upper if target_row is Row.UPPER else lower
+    lower[origin] = 1
+    pmf = []
+    for t in range(1, t_max + 1):
+        lo, hi = origin - t, origin + t + 1
+        lower[lo:hi], upper[lo:hi] = (horiz * lower[lo - 1:hi - 1] + vert * upper[lo:hi],
+                                      vert * lower[lo:hi] + horiz * upper[lo + 1:hi + 1])
+        pmf.append(target[origin])
+        target[origin] = 0
+    if rational:
+        return HittingDist([Fraction(v, p.denominator ** t)
+                            for t, v in enumerate(pmf, 1)], backing="rational")
+    return HittingDist([float(v) for v in pmf], backing="float")
 
 
 def dp_first_passage(p, t_max: int) -> HittingDist:
     """Exact pmf of the first passage to the top origin, by forward DP.
 
-    The top origin is absorbing; positions are confined to [0, t_max],
-    which is lossless for this horizon since each step moves one position.
-    Rational p (int/Fraction) propagates exact Fractions.
+    Rational p (int/Fraction) gives exact Fractions, float p floats.
     """
-    _check_horizon(t_max)
-    if is_rational_prob(p):
-        return _dp_first_passage_exact(Fraction(p), t_max)
-    return _dp_first_passage_float(float(p), t_max)
-
-
-def _dp_first_passage_exact(p: Fraction, t_max: int) -> HittingDist:
-    if p < 0 or p > 1:
-        raise ValueError("probability must lie in [0, 1]")
-    q = 1 - p
-    lower = [Fraction(0)] * (t_max + 2)
-    upper = [Fraction(0)] * (t_max + 2)
-    lower[0] = Fraction(1)
-    pmf = []
-    for _ in range(t_max):
-        pmf.append(p * lower[0] + q * upper[1])
-        new_lower = [Fraction(0)] * (t_max + 2)
-        new_upper = [Fraction(0)] * (t_max + 2)
-        for k in range(t_max + 1):
-            if lower[k]:
-                new_lower[k + 1] += q * lower[k]
-                if k >= 1:
-                    new_upper[k] += p * lower[k]
-            if k >= 1 and upper[k]:
-                new_lower[k] += p * upper[k]
-                if k >= 2:
-                    new_upper[k - 1] += q * upper[k]
-        lower, upper = new_lower, new_upper
-    return HittingDist(pmf, backing="rational")
-
-
-def _dp_first_passage_float(p: float, t_max: int) -> HittingDist:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("probability must lie in [0, 1]")
-    q = 1.0 - p
-    lower = np.zeros(t_max + 2)
-    upper = np.zeros(t_max + 2)
-    lower[0] = 1.0
-    pmf = np.zeros(t_max)
-    for t in range(t_max):
-        pmf[t] = p * lower[0] + q * upper[1]
-        new_lower = np.zeros(t_max + 2)
-        new_upper = np.zeros(t_max + 2)
-        new_lower[1:] = q * lower[:-1]
-        new_lower[1:-1] += p * upper[1:-1]
-        new_upper[1:-1] = p * lower[1:-1]
-        new_upper[1:-1] += q * upper[2:]
-        lower, upper = new_lower, new_upper
-    return HittingDist([float(v) for v in pmf], backing="float")
+    return _ladder_dp(p, t_max, Row.UPPER)
 
 
 def dp_return_time(p, t_max: int) -> HittingDist:
     """Exact pmf of the full return to the lower origin, by forward DP.
 
-    Runs on the whole graph (positions in [-t_max, t_max]) with the lower
-    origin absorbing at positive times; every closing trajectory passes
-    through the top origin, so this independently cross-checks the
-    convolution route to the return distribution.
+    Every closing trajectory passes through the top origin, so this
+    independently cross-checks the convolution route to the return
+    distribution.
     """
-    _check_horizon(t_max)
-    rational = is_rational_prob(p)
-    pf = Fraction(p) if rational else float(p)
-    if pf < 0 or pf > 1:
-        raise ValueError("probability must lie in [0, 1]")
-    zero = Fraction(0) if rational else 0.0
-    one = Fraction(1) if rational else 1.0
-    q = 1 - pf
-    off = t_max  # position k stored at index k + off
-    size = 2 * t_max + 2
-    lower = [zero] * size
-    upper = [zero] * size
-    lower[off] = one
-    pmf = []
-    for _ in range(t_max):
-        pmf.append(q * lower[off - 1] + pf * upper[off])
-        new_lower = [zero] * size
-        new_upper = [zero] * size
-        for idx in range(size):
-            lv = lower[idx]
-            if lv:
-                if idx + 1 < size:
-                    new_lower[idx + 1] += q * lv
-                new_upper[idx] += pf * lv
-            uv = upper[idx]
-            if uv:
-                new_lower[idx] += pf * uv
-                if idx >= 1:
-                    new_upper[idx - 1] += q * uv
-        # inflow to the lower origin was just recorded as pmf of the next
-        # step; the walk is absorbed there, so it leaves the live mass
-        # (edge overflow is lossless: that mass cannot close within horizon)
-        new_lower[off] = zero
-        lower, upper = new_lower, new_upper
-    return HittingDist(pmf, backing="rational" if rational else "float")
+    return _ladder_dp(p, t_max, Row.LOWER)
 
 
 # ── Trimmed two-phase controller ─────────────────────────────────────────

@@ -34,18 +34,6 @@ def test_hitting_dist_exact_csv(tmp_path):
     assert lines[3] == "3,1/8"
 
 
-def test_hitting_dist_exact_json(tmp_path):
-    dist = first_passage_dist(Fraction(1, 2), 3)
-    path = tmp_path / "dist.json"
-    emit.emit(dist, "json", path, exact=True)
-    data = json.loads(path.read_text())
-    assert data["backing"] == "rational"
-    assert data["probs"] == ["1/2", "0/1", "1/8"]
-    # without exact, rational values degrade to floats
-    emit.emit(dist, "json", path)
-    assert json.loads(path.read_text())["probs"] == [0.5, 0.0, 0.125]
-
-
 def test_empty_curve_header_only(tmp_path):
     path = tmp_path / "curve.csv"
     emit.emit(SuccessCurve(), "csv", path)
@@ -70,29 +58,13 @@ def test_svg_structure(tmp_path):
     assert 'width="800"' in text and 'height="600"' in text
     assert ">m</text>" in text and "success probability" in text
 
-    dist_path = tmp_path / "dist.svg"
-    emit.emit(first_passage_dist(0.5, 9), "svg", dist_path)
-    assert dist_path.read_text().count("<polyline") == 1
-
-
-def test_statistics_csv_and_svg(tmp_path):
-    stats = monte_carlo(ProtocolConfig(v=HADAMARD, w=SIGMA_Z, m=4, seed=4,
-                                       runs=400))
-    csv_path = tmp_path / "stats.csv"
-    emit.emit(stats, "csv", csv_path)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "field,value"
-    assert lines[1] == "n_runs,400"
-    assert any(line.startswith("q_count_2,") for line in lines)
-
-    svg_path = tmp_path / "stats.svg"
-    emit.emit(stats, "svg", svg_path)
-    assert svg_path.read_text().count("<polyline") == 1
-
 
 def test_emit_rejects_unknown_combo(tmp_path):
     with pytest.raises(ValueError):
         emit.emit(object(), "csv", tmp_path / "x.csv")
+    with pytest.raises(ValueError):
+        emit.emit(first_passage_dist(0.5, 3), "json", tmp_path / "x.json")
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_emit_surfaces_path_errors(tmp_path):
@@ -197,10 +169,23 @@ def test_cli_required_m(capsys):
 
 
 def test_cli_error_paths(tmp_path, capsys):
-    assert cli.main(["dist", "--p", "1.5", "--tmax", "5",
-                     "--out", str(tmp_path / "x.csv")]) == 2
-    assert "error:" in capsys.readouterr().err
+    out = tmp_path / "x.csv"
+    for method in ("theorem", "dp", "mc"):
+        for p in ("1.5", "-0.2", "nan"):
+            assert cli.main(["dist", f"--p={p}", "--tmax", "5", "--method", method,
+                             "--out", str(out)]) == 2, (method, p)
+            assert "error:" in capsys.readouterr().err
+            assert not out.exists()
     assert cli.main(["required-m", "--pmin", "0", "--q", "0.5"]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-3"],
+                                   ["--smax", "-1"], ["--nmax", "-1"]])
+def test_cli_verify_rejects_empty_checks(capsys, flags):
+    assert cli.main(["verify", "--trials", "2", *flags]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "PASS" not in captured.out
 
 
 @pytest.mark.parametrize("content", [

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrewind.analytics import first_passage_pmf, return_pmf
 from qrewind.mat2 import commutator, haar_unitary
 from qrewind.qgate import BranchOutcome, apply_q, evolve_free, random_state, sample_branch
 from qrewind.walk import (ORIGIN, TOP_ORIGIN, Move, Row, WalkNode, WordKind,
                           dp_first_passage, dp_return_time, node_word,
-                          run_walk_protocol, sample_first_passage,
-                          sample_first_passage_batch, step_node)
+                          run_walk_protocol, sample_first_passage_batch, step_node)
 
 
 def test_step_node_edges():
@@ -38,9 +39,16 @@ def test_node_word_reductions():
 
 
 def test_sample_first_passage_edges():
-    rng = np.random.default_rng(0)
-    assert all(sample_first_passage(1.0, rng) == 1 for _ in range(20))
-    assert all(sample_first_passage(0.0, rng, cap=500) is None for _ in range(5))
+    always = sample_first_passage_batch(1.0, runs=20, cap=9, seed=0)
+    assert always.counts[1] == 20 and always.timeouts == 0
+    never = sample_first_passage_batch(0.0, runs=5, cap=500, seed=0)
+    assert never.counts.sum() == 0 and never.timeouts == 5
+
+
+@pytest.mark.parametrize("p", [1.5, -0.2, math.nan])
+def test_batch_sampler_rejects_bad_probability(p):
+    with pytest.raises(ValueError):
+        sample_first_passage_batch(p, runs=10, cap=5, seed=0)
 
 
 def test_sample_first_passage_statistics():
@@ -85,6 +93,44 @@ def test_dp_known_values_and_even_zeros():
     dist = dp_first_passage(p, 10)
     assert dist.prob(5) == p * (1 - p) ** 2 * (2 * p * p - 2 * p + 1)
     assert all(dist.prob(t) == 0 for t in (2, 4, 6, 8, 10))
+
+
+rational_probs = st.integers(1, 60).flatmap(
+    lambda b: st.integers(0, b).map(lambda a: Fraction(a, b)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(p=rational_probs, t_max=st.integers(1, 41))
+def test_ladder_dp_matches_closed_formulas(p, t_max):
+    first = dp_first_passage(p, t_max)
+    assert first.backing == "rational"
+    assert first.probs == [first_passage_pmf(p, t) for t in range(1, t_max + 1)]
+    ret = dp_return_time(p, min(t_max, 25))
+    assert ret.backing == "rational"
+    assert ret.probs == [return_pmf(p, t) for t in range(1, len(ret) + 1)]
+    for exact, dp in ((first, dp_first_passage), (ret, dp_return_time)):
+        approx = dp(float(p), len(exact))
+        assert approx.backing == "float"
+        assert all(abs(a - float(e)) <= 1e-12
+                   for a, e in zip(approx.probs, exact.probs))
+
+
+@pytest.mark.parametrize("p", [0, 1, Fraction(0), Fraction(1), 0.0, 1.0])
+def test_ladder_dp_deterministic_edges(p):
+    backing = "float" if isinstance(p, float) else "rational"
+    first, ret = dp_first_passage(p, 6), dp_return_time(p, 6)
+    assert first.backing == ret.backing == backing
+    # p = 1 climbs at step 1 and closes at step 2; p = 0 drifts away
+    assert first.probs == [p, 0, 0, 0, 0, 0]
+    assert ret.probs == [0, p, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("p", [Fraction(-1, 5), Fraction(6, 5), 2, -0.2, 1.5, math.nan])
+def test_ladder_dp_rejects_bad_probability(p):
+    with pytest.raises(ValueError):
+        dp_first_passage(p, 5)
+    with pytest.raises(ValueError):
+        dp_return_time(p, 5)
 
 
 def test_dp_return_time_matches_convolution_and_formula():
