@@ -15,6 +15,6 @@ from .qgate import (BranchOutcome, QBranches, apply_q, evolve_free, random_state
                     sample_branch)
 from .walk import (Move, Row, TrimmedOutcome, WalkNode, WordDescriptor, WordKind,
                    dp_first_passage, dp_return_time, node_word, run_walk_protocol,
-                   sample_first_passage_batch, step_node)
+                   sample_first_passage_batch, sample_return_batch, step_node)
 
 __version__ = "0.1.0"

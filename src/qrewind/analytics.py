@@ -278,6 +278,11 @@ def required_m(p_min, q, dt: float | None = None, tau: float | None = None,
         raise ValueError("p_min must lie in (0, 1]")
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly between 0 and 1")
+    for name, value in (("dt", dt), ("tau", tau)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive")
+    if s < 0:
+        raise ValueError("s must be nonnegative")
     n_steps = int(math.floor((1.0 - p_min) / grid_step + 1e-9))
     grid = p_min + grid_step * np.arange(n_steps + 1)
     if grid[-1] < 1.0 - 1e-12:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -67,6 +68,8 @@ def _cmd_verify(args) -> int:
         raise ValueError("--trials must be at least 1")
     if args.smax < 0 or args.nmax < 0:
         raise ValueError("--smax and --nmax must be nonnegative")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError("--tol must be finite and positive")
     rng = np.random.default_rng(args.seed)
     families = {
         "haar": lambda: (haar_unitary(rng), haar_unitary(rng)),
@@ -146,8 +149,7 @@ def _cmd_simulate(args) -> int:
     v, w = load_matrices(args.matrices)
     cfg = engine.ProtocolConfig(
         v=v, w=w, s=args.s, m=args.m, seed=args.seed, runs=args.runs,
-        workers=args.workers, dt=args.dt, tau=args.tau,
-        mode="contraction" if args.contraction else "unitary",
+        workers=args.workers, mode="contraction" if args.contraction else "unitary",
     )
     stats = engine.monte_carlo(cfg)
     emitters.emit(stats, "json", args.out)
@@ -216,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--workers", type=int, default=1,
                        help="independent RNG streams, run one after another "
                             "in this process; output depends on (seed, workers)")
-    p_sim.add_argument("--dt", type=float, default=1.0)
-    p_sim.add_argument("--tau", type=float, default=1.0)
     p_sim.add_argument("--contraction", action="store_true")
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=_cmd_simulate)

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import analytics, qgate
 from .mat2 import as_mat2, branch_prob_invariant, is_contraction, is_unitary
+from .walk import LANES, sample_return_batch, streams
 
 
 class RunOutcome(Enum):
@@ -250,9 +251,6 @@ class Statistics:
 
 # ── Batched lane kernel ──────────────────────────────────────────────────
 
-LANES = 1024  # runs advanced together; see monte_carlo for why it is fixed
-
-
 def _haar_lanes(rng: np.random.Generator, n: int) -> np.ndarray:
     """n Haar-uniform unit states as the rows of an (n, 2) complex array."""
     z = rng.standard_normal((n, 4))
@@ -282,17 +280,17 @@ class _Tally:
     fid_min: float = math.inf
 
 
-def _run_lanes(rng: np.random.Generator, width: int, m: int,
-               cp: _CompiledProtocol | None, p: float | None, tally: _Tally) -> None:
-    """Run one block of `width` protocol runs to the end and tally them.
+def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
+               tally: _Tally) -> None:
+    """Run one block of `width` amplitude-level protocol runs and tally them.
 
     Each lane holds one run: its rail (row), its signed position h (pos on
     the lower rail, -pos on the upper one, so a horizontal step adds 1 and
-    a vertical step negates h), its alive flag and, with amplitudes, its
-    state as a row of psi. Gate t draws one uniform per lane and follows
-    the branch semantics of _run_compiled; cp=None is the classical walk
-    with vertical probability p, which never aborts. Finished lanes stay in
-    place, masked out, so every array keeps its size.
+    a vertical step negates h), its alive flag and its state as a row of
+    psi. Gate t draws one uniform per lane and follows the branch semantics
+    of _run_compiled. Finished lanes stay in place, masked out, so every
+    array keeps its size. The classical walk without amplitudes is
+    walk.sample_return_batch.
 
     A lane at the top origin is always there for the first time: after
     that arrival the walk keeps pos <= 0 until it closes at the lower
@@ -301,47 +299,40 @@ def _run_lanes(rng: np.random.Generator, width: int, m: int,
     row = np.zeros(width, dtype=bool)
     h = np.zeros(width, dtype=np.int64)
     alive = np.ones(width, dtype=bool)
-    if cp is not None:
-        branches = np.hstack([np.reshape(cp.xh, (2, 2)).T, np.reshape(cp.yh, (2, 2)).T])
-        psi = (_haar_lanes(rng, width) if cp.psi0 is None
-               else np.repeat(cp.psi0[None, :], width, axis=0))
-        ref = psi @ cp.w_inv_pow.T
-        ref = (ref / np.sqrt(_norm2(ref))[:, None]).conj()
+    branches = np.hstack([np.reshape(cp.xh, (2, 2)).T, np.reshape(cp.yh, (2, 2)).T])
+    psi = (_haar_lanes(rng, width) if cp.psi0 is None
+           else np.repeat(cp.psi0[None, :], width, axis=0))
+    ref = psi @ cp.w_inv_pow.T
+    ref = (ref / np.sqrt(_norm2(ref))[:, None]).conj()
     n_alive = width
-    for t in range(1, m + 1):
+    for t in range(1, cp.m + 1):
         u = rng.random(width)
-        if cp is None:
-            vert = u < p
-            live = alive
-        else:
-            amps = psi @ branches
-            p_vert, p_horiz = _norm2(amps[:, :2]), _norm2(amps[:, 2:])
-            vert = u < p_vert
-            live = alive & (u < p_vert + p_horiz)
-            psi = np.where(vert[:, None], amps[:, :2], amps[:, 2:])
-            norm = np.sqrt(np.where(vert, p_vert, p_horiz))
-            np.divide(psi, norm[:, None], out=psi, where=live[:, None])
+        amps = psi @ branches
+        p_vert, p_horiz = _norm2(amps[:, :2]), _norm2(amps[:, 2:])
+        vert = u < p_vert
+        live = alive & (u < p_vert + p_horiz)
+        psi = np.where(vert[:, None], amps[:, :2], amps[:, 2:])
+        norm = np.sqrt(np.where(vert, p_vert, p_horiz))
+        np.divide(psi, norm[:, None], out=psi, where=live[:, None])
         row ^= vert
         h += ~vert
         np.negative(h, out=h, where=vert)
         at_origin = live & (h == 0)
         done = at_origin & ~row
         n_done = int(np.count_nonzero(done))
-        n_abort = 0
-        if cp is not None:
-            arrived = at_origin & row
-            if arrived.any():  # wait W^s at the top origin
-                waited = psi @ cp.w_pow.T
-                nrm = np.sqrt(_norm2(waited))
-                live &= ~(arrived & (nrm < 1e-300))
-                np.divide(waited, nrm[:, None], out=psi, where=(arrived & live)[:, None])
-            n_abort = int(np.count_nonzero(alive & ~live))
-            if n_done:
-                overlap = (ref * psi).sum(axis=1)
-                fidelity = overlap.real ** 2 + overlap.imag ** 2
-                tally.fid_sum += float(fidelity.sum(where=done))
-                tally.fid_min = min(tally.fid_min,
-                                    float(fidelity.min(where=done, initial=math.inf)))
+        arrived = at_origin & row
+        if arrived.any():  # wait W^s at the top origin
+            waited = psi @ cp.w_pow.T
+            nrm = np.sqrt(_norm2(waited))
+            live &= ~(arrived & (nrm < 1e-300))
+            np.divide(waited, nrm[:, None], out=psi, where=(arrived & live)[:, None])
+        n_abort = int(np.count_nonzero(alive & ~live))
+        if n_done:
+            overlap = (ref * psi).sum(axis=1)
+            fidelity = overlap.real ** 2 + overlap.imag ** 2
+            tally.fid_sum += float(fidelity.sum(where=done))
+            tally.fid_min = min(tally.fid_min,
+                                float(fidelity.min(where=done, initial=math.inf)))
         tally.n_success += n_done
         tally.n_abort += n_abort
         if n_done or n_abort:
@@ -351,45 +342,50 @@ def _run_lanes(rng: np.random.Generator, width: int, m: int,
             return
         alive = live & ~done
     tally.n_trim_fail += n_alive
-    tally.hist[m] += n_alive
+    tally.hist[cp.m] += n_alive
 
 
 def monte_carlo(cfg: ProtocolConfig) -> Statistics:
     """Aggregate cfg.runs protocol runs over cfg.workers derived RNG streams.
 
-    Worker streams are spawned from one master SeedSequence and run one
-    after another in this process, so results are bit-identical for a
-    fixed (seed, workers) pair regardless of the host machine's core count.
+    The streams come from walk.streams: spawned from one master
+    SeedSequence and run one after another in this process, so results are
+    bit-identical for a fixed (seed, workers) pair regardless of the host
+    machine's core count.
 
-    Each stream's runs go through the lane kernel (_run_lanes) in blocks
-    of at most LANES runs. A block is a structure of arrays with one lane
-    per run: rail, signed position and alive flag, plus with amplitudes an
-    (lanes, 2) complex state and the conjugated reference W^{-s} psi0. The
-    block draws its Haar states and references in bulk, then one
-    rng.random(lanes) per gate; the branch choice, the W^s wait at the top
-    origin and the success test are masked operations over all lanes.
-    p_override configs run the same kernel with amplitudes off.
+    With matrices, each stream's runs go through the lane kernel
+    (_run_lanes) in blocks of at most LANES runs. A block is a structure of
+    arrays with one lane per run: rail, signed position and alive flag,
+    plus an (lanes, 2) complex state and the conjugated reference
+    W^{-s} psi0. The block draws its Haar states and references in bulk,
+    then one rng.random(lanes) per gate; the branch choice, the W^s wait at
+    the top origin and the success test are masked operations over all
+    lanes. p_override configs are the classical walk, whose runs succeed
+    when they return to the lower origin within m steps:
+    walk.sample_return_batch samples exactly that.
 
     The lane width is a module constant, not an option, because the
-    kernel's working set sets the campaign's peak memory. Compacting the
-    arrays to the live lanes, or gathering the lanes that arrive or
-    succeed, allocates temporaries of ever-changing size; over a long loop
-    of campaigns that grew the resident set by about 1 MB more than fixed
-    blocks with alive masks, whose temporaries all have the block's size.
-    One block per stream would make the working set grow with the stream.
+    kernel's working set sets the campaign's peak memory; walk.LANES gives
+    the measured reason. One block per stream would make the amplitude
+    working set grow with the stream.
     """
     cfg.validate()
-    cp = None if cfg.v is None else _compile(cfg)
     tally = _Tally()
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.workers)
-    base, extra = divmod(cfg.runs, cfg.workers)
-    for idx, stream in enumerate(streams):
-        n = base + (1 if idx < extra else 0)
-        rng = np.random.default_rng(stream)
-        for start in range(0, n, LANES):
-            _run_lanes(rng, min(LANES, n - start), cfg.m, cp, cfg.p_override, tally)
+    if cfg.v is None:
+        sample = sample_return_batch(cfg.p_override, cfg.runs, cfg.m, cfg.seed,
+                                     cfg.workers)
+        tally.hist.update({t: int(c) for t, c in enumerate(sample.counts) if c})
+        tally.n_success = cfg.runs - sample.timeouts
+        tally.n_trim_fail = sample.timeouts
+        if sample.timeouts:
+            tally.hist[cfg.m] += sample.timeouts
+    else:
+        cp = _compile(cfg)
+        for rng, n in streams(cfg.seed, cfg.runs, cfg.workers):
+            for start in range(0, n, LANES):
+                _run_lanes(rng, min(LANES, n - start), cp, tally)
     n_runs = sum(tally.hist.values())
-    fidelities = cp is not None and tally.n_success > 0
+    fidelities = cfg.v is not None and tally.n_success > 0
     return Statistics(
         n_runs=n_runs,
         n_success=tally.n_success,

@@ -95,8 +95,8 @@ def check_proportional(a, b, tol: float = DEFAULT_TOL,
     verdict holds when the fit residual is below tol * max(|A|, |B|, floor).
     B = 0 is handled separately: then A must itself vanish (within floor).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     a, b = as_mat2(a), as_mat2(b)
     a_norm = frobenius_norm(a)
     b_norm = frobenius_norm(b)

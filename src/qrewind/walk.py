@@ -7,7 +7,8 @@ upper origin (the accumulated operator word has then been reduced to the
 commutator); phase 2 continues the same graph until the walk closes back at
 the lower origin. This module provides the node algebra, word bookkeeping,
 one forward DP for both hitting times (exact through integer masses for
-rational p), the batch Monte Carlo sampler, and the trimmed two-phase
+rational p) and its batched Monte Carlo twin, the seed-to-streams split
+shared with the engine's lane kernel, and the scalar trimmed two-phase
 controller at the classical level.
 """
 from __future__ import annotations
@@ -89,9 +90,38 @@ def node_word(node: WalkNode, moves: list[Move]) -> WordDescriptor:
 
 # ── Monte Carlo sampling ─────────────────────────────────────────────────
 
+MAX_STREAMS = 1024  # bound on workers: SeedSequence.spawn allocates per stream
+
+# Runs advanced together. engine.monte_carlo's amplitude kernel works in
+# blocks of at most LANES runs, and _ladder_mc compacts finished runs away
+# only while at least LANES stay alive; below that they stay in place, masked.
+# The floor is there for memory: numpy keeps up to 7 freed data buffers of
+# each size under 1 KiB for reuse, so arrays that shrink through every size
+# below 1024 lanes leave that cache filled and grow the resident set. On a
+# 2-core VM (Python 3.11.7, numpy 2.4.6), freeing seven bool arrays of each
+# size 1..1023 grew the RSS by 3.5 MB and sizes 1024..2046 by 0; 400
+# classical campaigns of 2000 runs, m = 200 and 2 streams grew it by 2.9 MB
+# when compacting all the way down and by 0.08 MB with the floor.
+LANES = 1024
+
+
+def streams(seed: int, runs: int, workers: int):
+    """Yield (rng, n) for each of `workers` RNG streams in order.
+
+    The streams are spawned from one master SeedSequence; runs are split in
+    index order, the first runs % workers streams taking one extra run, so
+    results are bit-identical for a fixed (seed, workers) pair on any host.
+    """
+    if runs < 1 or not 1 <= workers <= MAX_STREAMS:
+        raise ValueError(f"runs must be positive and workers in [1, {MAX_STREAMS}]")
+    base, extra = divmod(runs, workers)
+    for idx, stream in enumerate(np.random.SeedSequence(seed).spawn(workers)):
+        yield np.random.default_rng(stream), base + (idx < extra)
+
+
 @dataclass
 class FirstPassageSample:
-    """Histogram of sampled first-passage times, times over cap censored."""
+    """Histogram of sampled hitting times, times over cap censored."""
 
     counts: np.ndarray  # counts[t] for t = 1..cap (index 0 unused)
     timeouts: int
@@ -101,42 +131,69 @@ class FirstPassageSample:
         return self.counts / self.runs
 
 
-def sample_first_passage_batch(p: float, runs: int, cap: int, seed: int,
-                               workers: int = 1) -> FirstPassageSample:
-    """Vectorized batch sampler with per-worker derived RNG streams.
+def _ladder_mc(p, runs: int, cap: int, seed: int, workers: int,
+               target_row: Row) -> FirstPassageSample:
+    """Monte Carlo twin of _ladder_dp: sampled first hits of an origin.
 
-    Deterministic for a fixed (seed, workers) pair; chunks are assigned to
-    workers in index order. The p = 0 walk drifts right forever, so every
-    run times out.
+    Each stream of streams(seed, runs, workers) walks its runs together as
+    lanes: rail (True on the upper one), signed position h (pos on the lower
+    rail, -pos on the upper one, so a horizontal step adds 1 and a vertical
+    step negates h) and a live mask. Step t draws one rng.random(lanes) and
+    counts the live lanes at the origin of target_row into counts[t]. After
+    a step with hits the finished lanes are compacted away while at least
+    LANES stay live (see LANES); below that they stay in place, masked.
+    Runs still live after step cap are timeouts. The p = 0 walk drifts
+    right forever, so every run times out.
     """
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError("probability must lie in [0, 1]")
-    if runs < 1 or workers < 1:
-        raise ValueError("runs and workers must be positive")
+    upper = target_row is Row.UPPER
     counts = np.zeros(cap + 1, dtype=np.int64)
     timeouts = 0
-    streams = np.random.SeedSequence(seed).spawn(workers)
-    base, extra = divmod(runs, workers)
-    for w, stream in enumerate(streams):
-        n = base + (1 if w < extra else 0)
-        if n == 0:
-            continue
-        rng = np.random.default_rng(stream)
-        row = np.zeros(n, dtype=np.int8)
-        pos = np.zeros(n, dtype=np.int64)
-        alive = np.arange(n)
+    for rng, n_live in streams(seed, runs, workers):
+        row = np.zeros(n_live, dtype=bool)
+        h = np.zeros(n_live, dtype=np.int64)
+        live = np.ones(n_live, dtype=bool)
         for t in range(1, cap + 1):
-            if alive.size == 0:
+            if not n_live:
                 break
-            vert = rng.random(alive.size) < p
-            pos[alive] += np.where(vert, 0, 1 - 2 * row[alive].astype(np.int64))
-            row[alive] ^= vert
-            hit = (row[alive] == 1) & (pos[alive] == 0)
-            counts[t] += int(hit.sum())
-            alive = alive[~hit]
-        timeouts += int(alive.size)
+            vert = rng.random(row.size) < p
+            row ^= vert
+            h += ~vert
+            np.negative(h, out=h, where=vert)
+            hit = live & (h == 0) & (row == upper)
+            n_hit = int(np.count_nonzero(hit))
+            if n_hit:
+                counts[t] += n_hit
+                n_live -= n_hit
+                if n_live >= LANES:
+                    keep = ~hit
+                    row, h, live = row[keep], h[keep], live[keep]
+                else:
+                    live &= ~hit
+        timeouts += n_live
     return FirstPassageSample(counts=counts, timeouts=timeouts, runs=runs)
+
+
+def sample_first_passage_batch(p: float, runs: int, cap: int, seed: int,
+                               workers: int = 1) -> FirstPassageSample:
+    """Sampled first-passage times to the top origin, by _ladder_mc.
+
+    Deterministic for a fixed (seed, workers) pair.
+    """
+    return _ladder_mc(p, runs, cap, seed, workers, Row.UPPER)
+
+
+def sample_return_batch(p: float, runs: int, cap: int, seed: int,
+                        workers: int = 1) -> FirstPassageSample:
+    """Sampled return times to the lower origin, by _ladder_mc.
+
+    A return within cap steps is a success of the classical trimmed
+    protocol with gate budget cap; deterministic for a fixed (seed, workers)
+    pair.
+    """
+    return _ladder_mc(p, runs, cap, seed, workers, Row.LOWER)
 
 
 # ── Exact DP oracle ──────────────────────────────────────────────────────

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qrewind import cli
+from qrewind import cli, walk
 from qrewind import emitters as emit
 from qrewind.analytics import SuccessCurve, first_passage_dist
 from qrewind.engine import ProtocolConfig, monte_carlo
@@ -176,11 +176,43 @@ def test_cli_error_paths(tmp_path, capsys):
                              "--out", str(out)]) == 2, (method, p)
             assert "error:" in capsys.readouterr().err
             assert not out.exists()
+    for timing in (["--dt", "-1", "--tau", "0.5"], ["--dt", "nan", "--tau", "0.5"],
+                   ["--dt", "1", "--tau", "inf"], ["--s", "-3"]):
+        assert cli.main(["required-m", "--pmin", "0.5", "--q", "0.5", *timing]) == 2, timing
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "m = " not in captured.out
     assert cli.main(["required-m", "--pmin", "0", "--q", "0.5"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+    # one stream past the bound; spawning streams allocates per stream
+    workers = str(walk.MAX_STREAMS + 1)
+    assert cli.main(["dist", "--p", "0.5", "--tmax", "5", "--method", "mc",
+                     "--workers", workers, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+    mats = tmp_path / "mats.json"
+    cli.save_matrices(HADAMARD, SIGMA_Z, mats)
+    sim = tmp_path / "sim.json"
+    assert cli.main(["simulate", "--matrices", str(mats), "--m", "4", "--runs", "10",
+                     "--seed", "1", "--workers", workers, "--out", str(sim)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not sim.exists()
+
+
+@pytest.mark.parametrize("flag", ["--dt", "--tau"])
+def test_cli_simulate_has_no_timing_flags(tmp_path, capsys, flag):
+    mats = tmp_path / "mats.json"
+    cli.save_matrices(HADAMARD, SIGMA_Z, mats)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--matrices", str(mats), "--m", "4", "--runs", "10",
+                  "--seed", "1", flag, "1.0", "--out", str(tmp_path / "s.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-3"],
-                                   ["--smax", "-1"], ["--nmax", "-1"]])
+                                   ["--smax", "-1"], ["--nmax", "-1"],
+                                   ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"]])
 def test_cli_verify_rejects_empty_checks(capsys, flags):
     assert cli.main(["verify", "--trials", "2", *flags]) == 2
     captured = capsys.readouterr()

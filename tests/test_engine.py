@@ -224,6 +224,18 @@ def test_kernel_classical_edges(p, hist):
     assert stats.n_abort == 0 and stats.mean_fidelity is None
 
 
+def test_classical_campaign_pinned_result():
+    # recorded before p_override campaigns moved onto walk.sample_return_batch;
+    # with at most LANES runs per stream the RNG draws are unchanged
+    stats = monte_carlo(ProtocolConfig(p_override=0.4, m=30, runs=2000, seed=3, workers=2))
+    assert stats.to_dict() == {
+        "n_runs": 2000, "n_success": 1291, "n_trim_fail": 709, "n_abort": 0,
+        "success_rate": 0.6455, "min_fidelity": None, "mean_fidelity": None,
+        "q_count_hist": {"2": 315, "4": 229, "6": 158, "8": 117, "10": 90, "12": 60,
+                         "14": 61, "16": 54, "18": 42, "20": 47, "22": 35, "24": 21,
+                         "26": 27, "28": 18, "30": 726}}
+
+
 def test_kernel_fixed_psi0_certificate():
     rng = np.random.default_rng(4)
     v, w = haar_unitary(rng), haar_unitary(rng)

@@ -46,6 +46,10 @@ def test_check_proportional_trivial_cases():
     rep = check_proportional(SIGMA_X, np.zeros((2, 2)))
     assert not rep.verdict
 
+    for tol in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            check_proportional(SIGMA_X, SIGMA_X, tol)
+
 
 def test_commutator_square_scalar_is_minus_det():
     rng = np.random.default_rng(7)

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from qrewind.analytics import first_passage_pmf, return_pmf
 from qrewind.mat2 import commutator, haar_unitary
 from qrewind.qgate import BranchOutcome, apply_q, evolve_free, random_state, sample_branch
-from qrewind.walk import (ORIGIN, TOP_ORIGIN, Move, Row, WalkNode, WordKind,
+from qrewind.walk import (LANES, ORIGIN, TOP_ORIGIN, Move, Row, WalkNode, WordKind,
                           dp_first_passage, dp_return_time, node_word,
-                          run_walk_protocol, sample_first_passage_batch, step_node)
+                          run_walk_protocol, sample_first_passage_batch,
+                          sample_return_batch, step_node)
 
 
 def test_step_node_edges():
@@ -39,10 +40,11 @@ def test_node_word_reductions():
 
 
 def test_sample_first_passage_edges():
-    always = sample_first_passage_batch(1.0, runs=20, cap=9, seed=0)
-    assert always.counts[1] == 20 and always.timeouts == 0
-    never = sample_first_passage_batch(0.0, runs=5, cap=500, seed=0)
-    assert never.counts.sum() == 0 and never.timeouts == 5
+    for sampler, t_hit in ((sample_first_passage_batch, 1), (sample_return_batch, 2)):
+        always = sampler(1.0, runs=20, cap=9, seed=0)
+        assert always.counts[t_hit] == 20 and always.timeouts == 0
+        never = sampler(0.0, runs=5, cap=500, seed=0)
+        assert never.counts.sum() == 0 and never.timeouts == 5
 
 
 @pytest.mark.parametrize("p", [1.5, -0.2, math.nan])
@@ -59,6 +61,16 @@ def test_sample_first_passage_statistics():
     assert pmf[2] == 0 and pmf[4] == 0
     sigma3 = math.sqrt(0.125 * 0.875 / 10**5)
     assert abs(pmf[3] - 0.125) < 5 * sigma3
+
+
+def test_batch_sampler_pinned_result():
+    # recorded before the two batched walks were folded into one; every
+    # stream keeps at least LANES live runs through the cap, so the RNG
+    # draws and the output are unchanged
+    sample = sample_first_passage_batch(0.3, runs=40000, cap=21, seed=11, workers=2)
+    assert sample.counts.tolist() == [0, 12112, 0, 5843, 0, 3418, 0, 2192, 0, 1608,
+                                      0, 1223, 0, 1002, 0, 834, 0, 685, 0, 545, 0, 504]
+    assert sample.timeouts == 10034
 
 
 def test_batch_sampler_deterministic_and_worker_sensitive():
@@ -153,6 +165,24 @@ def test_mc_agrees_with_dp():
         expected = dist.prob(t)
         sigma = math.sqrt(max(expected * (1 - expected), 1e-12) / n)
         assert abs(pmf[t] - expected) < 5 * sigma, t
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+@pytest.mark.parametrize("runs, workers", [(3000, 1), (2 * 10**5, 2)])
+def test_return_sampler_agrees_with_dp(p, runs, workers):
+    cap = 61
+    sample = sample_return_batch(p, runs=runs, cap=cap, seed=21, workers=workers)
+    if runs == 3000:  # the stream went on below LANES live lanes, masked
+        assert sample.timeouts < LANES
+    dist = dp_return_time(p, cap)
+    pmf = sample.empirical_pmf()
+    for t in range(1, cap + 1):
+        expected = dist.prob(t)
+        sigma = math.sqrt(max(expected * (1 - expected), 1e-12) / runs)
+        assert abs(pmf[t] - expected) < 5 * sigma, t
+    survival = 1 - sum(dist.probs)
+    sigma = math.sqrt(survival * (1 - survival) / runs)
+    assert abs(sample.timeouts / runs - survival) < 5 * sigma
 
 
 def _replay_moves(v, w, psi0, moves):
