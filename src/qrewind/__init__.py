@@ -9,12 +9,10 @@ from .engine import (ProtocolConfig, RunOutcome, RunRecord, Statistics,
 from .mat2 import (HADAMARD, IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z,
                    ProportionalityReport, anticommutator, branch_prob_invariant,
                    branch_prob_state, check_proportional, commutator, ginibre,
-                   haar_unitary, hermitian_exp, is_contraction, is_hermitian,
-                   is_unitary, shared_eigenvector_pair, verify_word_identities)
-from .qgate import (BranchOutcome, QBranches, apply_q, evolve_free, random_state,
-                    sample_branch)
-from .walk import (Move, Row, TrimmedOutcome, WalkNode, WordDescriptor, WordKind,
-                   dp_first_passage, dp_return_time, node_word, run_walk_protocol,
-                   sample_first_passage_batch, sample_return_batch, step_node)
+                   haar_unitary, is_contraction, is_unitary, shared_eigenvector_pair,
+                   verify_word_identities)
+from .qgate import BranchOutcome, QBranches, apply_q, random_state, sample_branch
+from .walk import (Row, TrimmedOutcome, dp_first_passage, dp_return_time,
+                   run_walk_protocol, sample_first_passage_batch, sample_return_batch)
 
 __version__ = "0.1.0"

@@ -350,14 +350,6 @@ class HittingDist:
         for i, value in enumerate(self.probs):
             yield i + 1, value
 
-    def cumulative(self) -> list:
-        total = Fraction(0) if self.backing == "rational" else 0.0
-        out = []
-        for value in self.probs:
-            total += value
-            out.append(total)
-        return out
-
     def as_floats(self) -> np.ndarray:
         return np.array([float(v) for v in self.probs])
 

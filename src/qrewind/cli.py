@@ -25,9 +25,10 @@ from .qgate import random_state
 
 def _parse_prob(text: str, exact: bool):
     """Probability from the command line; exact mode keeps it rational."""
-    if exact:
-        return Fraction(text)
-    return Fraction(text) if "/" in text else float(text)
+    try:
+        return Fraction(text) if exact or "/" in text else float(text)
+    except ZeroDivisionError:
+        raise ValueError(f"probability {text!r} has a zero denominator") from None
 
 
 def load_matrices(path) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +135,8 @@ def _cmd_curve(args) -> int:
         v, w = load_matrices(args.matrices)
         curve = engine.success_curve(v=v, w=w, m_max=args.mmax)
     else:
-        curve = engine.success_curve(p=float(Fraction(args.p)), m_max=args.mmax)
+        curve = engine.success_curve(p=float(_parse_prob(args.p, exact=False)),
+                                     m_max=args.mmax)
     emitters.emit(curve, "csv", args.out)
     print(f"wrote {args.out}")
     if args.svg:
@@ -165,7 +167,7 @@ def _cmd_required_m(args) -> int:
     plan = analytics.required_m(args.pmin, args.q, dt=args.dt, tau=args.tau,
                                 s=args.s)
     print(f"m = {plan.m}")
-    print(f"worst grid point: p = {plan.worst_grid_p:.3f}, "
+    print(f"worst grid point: p = {emitters.fmt_float(plan.worst_grid_p)}, "
           f"success = {emitters.fmt_float(plan.worst_grid_prob)}")
     if plan.t_prime is not None:
         print(f"T' = {emitters.fmt_float(plan.t_prime)}")

@@ -65,10 +65,6 @@ def statistics_json(stats: Statistics) -> str:
     return json.dumps(stats.to_dict(), indent=2) + "\n"
 
 
-def parse_statistics_json(text: str) -> Statistics:
-    return Statistics.from_dict(json.loads(text))
-
-
 # ── SVG ──────────────────────────────────────────────────────────────────
 
 def _svg_chart(series: list[tuple[str, list[float], list[float]]],

@@ -2,9 +2,9 @@
 
 run_quantum_protocol drives the target state through switch gates at the
 amplitude level while tracking the classical walk node; on first arrival at
-the top origin the target evolves freely for s time units, and a later
-return to the lower origin heralds success, certified by the fidelity
-against the rewound state W^{-s} psi0. It is the scalar reference for the
+the top origin the target evolves freely by W^s, and a later return to the
+lower origin heralds success, certified by the fidelity against the
+rewound state W^{-s} psi0. It is the scalar reference for the
 batched lane kernel behind monte_carlo, which aggregates runs over
 deterministic RNG streams derived from one master seed.
 """
@@ -41,8 +41,6 @@ class ProtocolConfig:
     p_override: float | None = None
     s: int = 0
     m: int = 2
-    dt: float = 1.0
-    tau: float = 1.0
     seed: int = 0
     runs: int = 1
     workers: int = 1
@@ -64,8 +62,6 @@ class ProtocolConfig:
             raise ValueError("rewind depth s must be nonnegative")
         if self.runs < 1 or self.workers < 1:
             raise ValueError("runs and workers must be positive")
-        if self.dt <= 0 or self.tau <= 0:
-            raise ValueError("timing constants must be positive")
         if self.v is not None:
             v, w = as_mat2(self.v), as_mat2(self.w)
             if self.mode == "unitary":
@@ -82,12 +78,11 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One protocol run. fidelity and elapsed_model_time exist on success."""
+    """One protocol run. fidelity exists on success."""
 
     outcome: RunOutcome
     q_count: int
     fidelity: float | None = None
-    elapsed_model_time: float | None = None
 
 
 @dataclass(frozen=True)
@@ -98,10 +93,7 @@ class _CompiledProtocol:
     yh: tuple[complex, complex, complex, complex]   # (VW + WV)/2 entries
     w_pow: np.ndarray        # W^s, applied at the rewind wait
     w_inv_pow: np.ndarray    # W^{-s}, defines the reference state
-    s: int
     m: int
-    dt: float
-    tau: float
     psi0: np.ndarray | None
 
 
@@ -127,7 +119,7 @@ def _compile(cfg: ProtocolConfig) -> _CompiledProtocol:
         yh=tuple(complex(z) for z in half_anti.ravel()),
         w_pow=np.linalg.matrix_power(w, cfg.s),
         w_inv_pow=np.linalg.matrix_power(w_inv, cfg.s),
-        s=cfg.s, m=cfg.m, dt=cfg.dt, tau=cfg.tau,
+        m=cfg.m,
         psi0=None if cfg.psi0 is None else qgate.as_state(cfg.psi0),
     )
 
@@ -184,9 +176,8 @@ def _run_compiled(cp: _CompiledProtocol, rng: np.random.Generator,
         elif row == 0 and pos == 0:
             overlap = ref0c * s0 + ref1c * s1
             fidelity = overlap.real * overlap.real + overlap.imag * overlap.imag
-            elapsed = q_count * (cp.dt + cp.tau) + cp.s * cp.dt
             return RunRecord(outcome=RunOutcome.SUCCESS, q_count=q_count,
-                             fidelity=fidelity, elapsed_model_time=elapsed)
+                             fidelity=fidelity)
     return RunRecord(outcome=RunOutcome.TRIM_FAIL, q_count=m)
 
 
@@ -234,19 +225,6 @@ class Statistics:
             "mean_fidelity": self.mean_fidelity,
             "q_count_hist": {str(k): v for k, v in sorted(self.q_count_hist.items())},
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Statistics:
-        return cls(
-            n_runs=data["n_runs"],
-            n_success=data["n_success"],
-            n_trim_fail=data["n_trim_fail"],
-            n_abort=data["n_abort"],
-            success_rate=data["success_rate"],
-            min_fidelity=data["min_fidelity"],
-            mean_fidelity=data["mean_fidelity"],
-            q_count_hist={int(k): v for k, v in data["q_count_hist"].items()},
-        )
 
 
 # ── Batched lane kernel ──────────────────────────────────────────────────

@@ -57,11 +57,6 @@ def is_unitary(a, tol: float = 1e-10) -> bool:
     return frobenius_norm(a.conj().T @ a - IDENTITY) <= tol
 
 
-def is_hermitian(a, tol: float = 1e-10) -> bool:
-    a = as_mat2(a)
-    return frobenius_norm(a - a.conj().T) <= tol * max(1.0, frobenius_norm(a))
-
-
 def is_contraction(a, tol: float = 1e-10) -> bool:
     """Operator norm at most 1 + tol (the abort bound is an operator-norm statement)."""
     return operator_norm(as_mat2(a)) <= 1.0 + tol
@@ -149,26 +144,6 @@ def shared_eigenvector_pair(rng: np.random.Generator) -> tuple[np.ndarray, np.nd
     return v, w
 
 
-# ── Hamiltonian exponentials ─────────────────────────────────────────────
-
-def hermitian_exp(h, t: float, tol: float = 1e-10) -> np.ndarray:
-    """exp(-i H t) for Hermitian H, via the closed Pauli-decomposition form.
-
-    H = a*I + B with B traceless Hermitian and B^2 = beta^2 * I gives
-    exp(-iHt) = exp(-iat) (cos(beta t) I - i sin(beta t) B / beta).
-    """
-    h = as_mat2(h)
-    if not is_hermitian(h, tol):
-        raise ValueError("hermitian_exp requires a Hermitian matrix")
-    a = np.trace(h).real / 2.0
-    b = h - a * IDENTITY
-    beta = math.sqrt(max(-np.linalg.det(b).real, 0.0))
-    phase = complex(math.cos(a * t), -math.sin(a * t))
-    if beta * abs(t) < 1e-300:
-        return phase * IDENTITY.copy()
-    return phase * (math.cos(beta * t) * IDENTITY - 1j * (math.sin(beta * t) / beta) * b)
-
-
 # ── Word-identity verification ───────────────────────────────────────────
 
 @dataclass
@@ -195,13 +170,6 @@ class WordIdentityReport:
                 and all(r.verdict for r in self.rewind)
                 and all(r.verdict for r in self.sandwich)
                 and all(r <= self.tol for r in self.trace_residuals))
-
-    def max_residual(self) -> float:
-        """Largest scale-relative residual across all checks."""
-        vals = [self.square.residual]
-        vals += [r.residual for r in self.rewind]
-        vals += [r.residual for r in self.sandwich]
-        return max(vals)
 
 
 def _unit_scale(a: np.ndarray) -> np.ndarray:

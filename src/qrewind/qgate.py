@@ -4,7 +4,9 @@ Acting on a target state psi with two interfering flight paths, the gate
 splits the amplitude into a vertical branch (W V - V W) psi / 2 and a
 horizontal branch (V W + W V) psi / 2. Branches are kept unnormalized so
 word-level proportionality survives; renormalization happens only when a
-branch is actually measured (sample_branch).
+branch is actually measured (sample_branch). apply_q and sample_branch are
+the gate-level reference: engine._run_compiled inlines the same branch choice
+from one uniform per gate, and the tests drive both from one generator.
 """
 from __future__ import annotations
 
@@ -15,8 +17,6 @@ from enum import Enum
 import numpy as np
 
 from .mat2 import as_mat2
-
-EVOLVE_STEP_GUARD = 10**6
 
 
 class BranchOutcome(Enum):
@@ -87,14 +87,3 @@ def sample_branch(branches: QBranches, rng: np.random.Generator,
     if u < total:
         return BranchOutcome.HORIZONTAL, branches.horizontal / math.sqrt(p_horiz)
     return BranchOutcome.ABORT, None
-
-
-def evolve_free(w, s: int, psi) -> np.ndarray:
-    """Free evolution W^s psi by repeated multiplication."""
-    if s < 0 or s > EVOLVE_STEP_GUARD:
-        raise ValueError(f"rewind depth must be in [0, {EVOLVE_STEP_GUARD}]")
-    w = as_mat2(w)
-    out = as_state(psi).copy()
-    for _ in range(s):
-        out = w @ out
-    return out

@@ -5,18 +5,18 @@ horizontal move runs rightward on the lower row and leftward on the upper
 row. Phase 1 starts at the lower origin and ends on first arrival at the
 upper origin (the accumulated operator word has then been reduced to the
 commutator); phase 2 continues the same graph until the walk closes back at
-the lower origin. This module provides the node algebra, word bookkeeping,
-one forward DP for both hitting times (exact through integer masses for
-rational p) and its batched Monte Carlo twin, the seed-to-streams split
-shared with the engine's lane kernel, and the scalar trimmed two-phase
-controller at the classical level.
+the lower origin. In phase 1 the word at (lower, pos) reduces to y^pos and
+at (upper, pos) to x y^pos, up to a scalar, with x = WV - VW and
+y = VW + WV. This module provides one forward DP for both hitting times
+(exact through integer masses for rational p) and its batched Monte Carlo
+twin, the seed-to-streams split shared with the engine's lane kernel, and
+the scalar trimmed two-phase controller at the classical level.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,64 +28,6 @@ DP_HORIZON_GUARD = 10**4
 class Row(Enum):
     LOWER = "lower"
     UPPER = "upper"
-
-
-class Move(Enum):
-    VERTICAL = "vertical"
-    HORIZONTAL = "horizontal"
-
-
-class WalkNode(NamedTuple):
-    row: Row
-    position: int
-
-
-ORIGIN = WalkNode(Row.LOWER, 0)
-TOP_ORIGIN = WalkNode(Row.UPPER, 0)
-
-
-def step_node(node: WalkNode, move: Move) -> WalkNode:
-    """One edge of the ladder graph."""
-    if move is Move.VERTICAL:
-        row = Row.UPPER if node.row is Row.LOWER else Row.LOWER
-        return WalkNode(row, node.position)
-    if node.row is Row.LOWER:
-        return WalkNode(Row.LOWER, node.position + 1)
-    return WalkNode(Row.UPPER, node.position - 1)
-
-
-class WordKind(Enum):
-    Y_POW = "y_pow"     # word y^n
-    XY_POW = "xy_pow"   # word x y^n
-
-
-@dataclass(frozen=True)
-class WordDescriptor:
-    """Canonical reduced form of the accumulated operator word."""
-
-    kind: WordKind
-    power: int
-
-
-def node_word(node: WalkNode, moves: list[Move]) -> WordDescriptor:
-    """Reduced word reached by a phase-1 move sequence from the lower origin.
-
-    Left-multiplying by y (horizontal) or x (vertical) and reducing with
-    the proportionalities x^2 ~ 1 and y x y ~ x keeps the word in the form
-    y^n or x y^n, mirroring the node coordinates exactly: (lower, n) <-> y^n and
-    (upper, n) <-> x y^n. Raises if the sequence leaves the phase-1 region
-    or does not end at the stated node.
-    """
-    current = ORIGIN
-    for move in moves:
-        if move is Move.HORIZONTAL and current.row is Row.UPPER and current.position == 0:
-            raise ValueError("horizontal move from the upper origin leaves "
-                             "the phase-1 word forms")
-        current = step_node(current, move)
-    if current != node:
-        raise ValueError(f"move sequence ends at {current}, not {node}")
-    kind = WordKind.Y_POW if node.row is Row.LOWER else WordKind.XY_POW
-    return WordDescriptor(kind=kind, power=node.position)
 
 
 # ── Monte Carlo sampling ─────────────────────────────────────────────────
@@ -264,7 +206,6 @@ class TrimmedOutcome:
     q_count: int
     phase1_steps: int
     phase2_steps: int
-    aborted: bool = False
 
 
 def run_walk_protocol(p: float, m: int, rng: np.random.Generator) -> TrimmedOutcome:

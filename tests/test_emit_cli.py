@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qrewind import cli, walk
+from qrewind import analytics, cli, walk
 from qrewind import emitters as emit
 from qrewind.analytics import SuccessCurve, first_passage_dist
 from qrewind.engine import ProtocolConfig, monte_carlo
@@ -45,7 +45,7 @@ def test_statistics_json_roundtrip(tmp_path):
                                        runs=300))
     path = tmp_path / "stats.json"
     emit.emit(stats, "json", path)
-    assert emit.parse_statistics_json(path.read_text()) == stats
+    assert json.loads(path.read_text()) == stats.to_dict()
 
 
 def test_svg_structure(tmp_path):
@@ -166,16 +166,27 @@ def test_cli_required_m(capsys):
                      "--dt", "1.0", "--tau", "0.5", "--s", "3"]) == 0
     out = capsys.readouterr().out
     assert "T' = " in out
+    # a worst grid point below 0.0005 must not print as 0.000
+    assert cli.main(["required-m", "--pmin", "0.0004", "--q", "0.05"]) == 0
+    out = capsys.readouterr().out
+    plan = analytics.required_m(0.0004, 0.05)
+    printed = out.split("worst grid point: p = ")[1].split(",")[0]
+    assert float(printed) == plan.worst_grid_p
 
 
 def test_cli_error_paths(tmp_path, capsys):
     out = tmp_path / "x.csv"
     for method in ("theorem", "dp", "mc"):
-        for p in ("1.5", "-0.2", "nan"):
-            assert cli.main(["dist", f"--p={p}", "--tmax", "5", "--method", method,
-                             "--out", str(out)]) == 2, (method, p)
-            assert "error:" in capsys.readouterr().err
-            assert not out.exists()
+        for p in ("1.5", "-0.2", "nan", "1/0", "0/0"):
+            for exact in ([], ["--exact"]):
+                assert cli.main(["dist", f"--p={p}", "--tmax", "5", "--method", method,
+                                 *exact, "--out", str(out)]) == 2, (method, p, exact)
+                assert "error:" in capsys.readouterr().err
+                assert not out.exists()
+    for p in ("1/0", "0/0", "nan"):
+        assert cli.main(["curve", f"--p={p}", "--mmax", "4", "--out", str(out)]) == 2, p
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
     for timing in (["--dt", "-1", "--tau", "0.5"], ["--dt", "nan", "--tau", "0.5"],
                    ["--dt", "1", "--tau", "inf"], ["--s", "-3"]):
         assert cli.main(["required-m", "--pmin", "0.5", "--q", "0.5", *timing]) == 2, timing

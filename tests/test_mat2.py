@@ -6,8 +6,8 @@ import pytest
 from qrewind.mat2 import (HADAMARD, IDENTITY, SIGMA_X, SIGMA_Z, anticommutator,
                           branch_prob_invariant, branch_prob_state,
                           check_proportional, commutator, frobenius_norm,
-                          ginibre, haar_unitary, hermitian_exp, is_contraction,
-                          is_hermitian, is_unitary, operator_norm,
+                          ginibre, haar_unitary, is_contraction, is_unitary,
+                          operator_norm,
                           shared_eigenvector_pair, verify_word_identities)
 
 
@@ -94,52 +94,6 @@ def test_predicates():
     assert is_contraction(0.5 * u)
     assert not is_unitary(0.5 * u)
     assert not is_contraction(1.5 * u)
-    h = ginibre(rng)
-    h = h + h.conj().T
-    assert is_hermitian(h)
-    assert not is_hermitian(h + 1j * IDENTITY)
-
-
-def test_hermitian_exp_closed_cases():
-    np.testing.assert_allclose(hermitian_exp(np.zeros((2, 2)), 1.0), IDENTITY)
-    np.testing.assert_allclose(hermitian_exp(SIGMA_Z, math.pi / 2),
-                               -1j * SIGMA_Z, atol=1e-15)
-    with pytest.raises(ValueError):
-        hermitian_exp(np.array([[0, 1], [2, 0]], dtype=complex), 1.0)
-
-
-def _series_exp(m: np.ndarray) -> np.ndarray:
-    # independent oracle: scaling and squaring with a plain Taylor series
-    squarings = max(0, int(np.ceil(np.log2(max(frobenius_norm(m), 1e-30)))) + 2)
-    small = m / (2 ** squarings)
-    total = np.eye(2, dtype=complex)
-    term = np.eye(2, dtype=complex)
-    for k in range(1, 30):
-        term = term @ small / k
-        total = total + term
-    for _ in range(squarings):
-        total = total @ total
-    return total
-
-
-def test_hermitian_exp_matches_series_oracle():
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        g = ginibre(rng)
-        h = g + g.conj().T
-        t = float(rng.uniform(-3, 3))
-        u = hermitian_exp(h, t)
-        np.testing.assert_allclose(u, _series_exp(-1j * h * t), atol=1e-10)
-        assert is_unitary(u, 1e-12)
-
-
-def test_hermitian_exp_additivity():
-    rng = np.random.default_rng(9)
-    g = ginibre(rng)
-    h = g + g.conj().T
-    w = hermitian_exp(h, 0.7)
-    np.testing.assert_allclose(np.linalg.matrix_power(w, 5),
-                               hermitian_exp(h, 5 * 0.7), atol=1e-12)
 
 
 def test_word_identities_pauli_example():

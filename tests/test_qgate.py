@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from qrewind.mat2 import (IDENTITY, SIGMA_X, SIGMA_Z, branch_prob_invariant,
-                          commutator, haar_unitary, hermitian_exp)
-from qrewind.qgate import (BranchOutcome, apply_q, evolve_free, random_state,
-                           sample_branch)
+                          commutator, haar_unitary)
+from qrewind.qgate import BranchOutcome, apply_q, random_state, sample_branch
 
 
 def _unit(rng):
@@ -109,20 +108,3 @@ def test_sampling_determinism():
     seq1 = [sample_branch(b, np.random.default_rng(99))[0] for _ in range(50)]
     seq2 = [sample_branch(b, np.random.default_rng(99))[0] for _ in range(50)]
     assert seq1 == seq2
-
-
-def test_evolve_free():
-    rng = np.random.default_rng(9)
-    psi = _unit(rng)
-    np.testing.assert_array_equal(evolve_free(SIGMA_Z, 0, psi), psi)
-    np.testing.assert_allclose(evolve_free(SIGMA_Z, 2, psi), psi)
-
-    g = haar_unitary(rng)
-    h = 1j * (g - g.conj().T)  # hermitian
-    w = hermitian_exp(h, 0.31)
-    np.testing.assert_allclose(evolve_free(w, 5, psi),
-                               hermitian_exp(h, 5 * 0.31) @ psi, atol=1e-12)
-    with pytest.raises(ValueError):
-        evolve_free(SIGMA_Z, -1, psi)
-    with pytest.raises(ValueError):
-        evolve_free(SIGMA_Z, 10**6 + 1, psi)

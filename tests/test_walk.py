@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,36 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrewind.analytics import first_passage_pmf, return_pmf
-from qrewind.mat2 import commutator, haar_unitary
-from qrewind.qgate import BranchOutcome, apply_q, evolve_free, random_state, sample_branch
-from qrewind.walk import (LANES, ORIGIN, TOP_ORIGIN, Move, Row, WalkNode, WordKind,
-                          dp_first_passage, dp_return_time, node_word,
+from qrewind.engine import ProtocolConfig, RunOutcome, run_quantum_protocol
+from qrewind.mat2 import haar_unitary
+from qrewind.qgate import BranchOutcome, apply_q, random_state, sample_branch
+from qrewind.walk import (LANES, dp_first_passage, dp_return_time,
                           run_walk_protocol, sample_first_passage_batch,
-                          sample_return_batch, step_node)
-
-
-def test_step_node_edges():
-    assert step_node(WalkNode(Row.LOWER, 0), Move.VERTICAL) == WalkNode(Row.UPPER, 0)
-    assert step_node(WalkNode(Row.LOWER, 0), Move.HORIZONTAL) == WalkNode(Row.LOWER, 1)
-    assert step_node(WalkNode(Row.UPPER, 1), Move.HORIZONTAL) == WalkNode(Row.UPPER, 0)
-    assert step_node(WalkNode(Row.UPPER, 3), Move.VERTICAL) == WalkNode(Row.LOWER, 3)
-
-
-def test_node_word_reductions():
-    empty = node_word(ORIGIN, [])
-    assert empty.kind is WordKind.Y_POW and empty.power == 0
-
-    w = node_word(WalkNode(Row.UPPER, 1), [Move.HORIZONTAL, Move.VERTICAL])
-    assert w.kind is WordKind.XY_POW and w.power == 1
-
-    # y x y reduces to x: word at the top origin
-    w = node_word(TOP_ORIGIN, [Move.HORIZONTAL, Move.VERTICAL, Move.HORIZONTAL])
-    assert w.kind is WordKind.XY_POW and w.power == 0
-
-    with pytest.raises(ValueError):
-        node_word(TOP_ORIGIN, [Move.HORIZONTAL])  # ends elsewhere
-    with pytest.raises(ValueError):
-        node_word(WalkNode(Row.UPPER, -1), [Move.VERTICAL, Move.HORIZONTAL])
+                          sample_return_batch)
 
 
 def test_sample_first_passage_edges():
@@ -185,15 +162,6 @@ def test_return_sampler_agrees_with_dp(p, runs, workers):
     assert abs(sample.timeouts / runs - survival) < 5 * sigma
 
 
-def _replay_moves(v, w, psi0, moves):
-    """Drive apply_q along a fixed move list, ignoring sampling."""
-    psi = psi0.copy()
-    for move in moves:
-        branches = apply_q(v, w, psi)
-        psi = branches.vertical if move is Move.VERTICAL else branches.horizontal
-    return psi
-
-
 def _vector_residual(a, b):
     """Norm of the component of a orthogonal to b, relative to scales."""
     scale = max(np.linalg.norm(a), np.linalg.norm(b), 1e-14)
@@ -201,63 +169,89 @@ def _vector_residual(a, b):
     return np.linalg.norm(a - coeff * b) / scale
 
 
-def _sample_trajectory(p, rng, cap=200):
-    """Phase-1 moves of the classical walk, None on timeout."""
-    moves = []
-    node = ORIGIN
-    for _ in range(cap):
-        move = Move.VERTICAL if rng.random() < p else Move.HORIZONTAL
-        moves.append(move)
-        node = step_node(node, move)
-        if node == TOP_ORIGIN:
-            return moves
-    return None
-
-
 def test_word_soundness_phase1():
+    """At (row, pos) the state is y^pos psi0 (lower) or x y^pos psi0 (upper).
+
+    x = WV - VW and y = VW + WV; the branches of apply_q are x psi / 2 and
+    y psi / 2. Checked after every phase-1 move on the normalised replay,
+    since the unnormalised one shrinks by orders of magnitude on long
+    trajectories.
+    """
     rng = np.random.default_rng(5)
+    steps = arrivals = 0
     for _ in range(40):
         v, w = haar_unitary(rng), haar_unitary(rng)
-        p = 0.5
-        moves = _sample_trajectory(p, rng)
-        if moves is None:
-            continue
-        final = node_word(TOP_ORIGIN, moves)
-        assert final.kind is WordKind.XY_POW and final.power == 0
         psi0 = random_state(rng)
-        replayed = _replay_moves(v, w, psi0, moves)
-        assert _vector_residual(replayed, commutator(v, w) @ psi0) < 1e-9
+        x, y = w @ v - v @ w, v @ w + w @ v
+        psi, row, pos = psi0, 0, 0
+        for _ in range(200):
+            branches = apply_q(v, w, psi)
+            if rng.random() < 0.5:
+                psi, row = branches.vertical, row ^ 1
+            else:
+                psi, pos = branches.horizontal, pos + 1 - 2 * row
+            psi = psi / np.linalg.norm(psi)
+            word = np.linalg.matrix_power(y, pos) @ psi0
+            if row:
+                word = x @ word
+            assert _vector_residual(psi, word / np.linalg.norm(word)) < 1e-9, (row, pos)
+            steps += 1
+            if (row, pos) == (1, 0):
+                arrivals += 1
+                break
+    assert arrivals >= 30 and steps > 500
 
 
 def test_phase2_terminal_word_rewinds():
+    """The apply_q / sample_branch loop rewinds to W^{-s} psi0 and is the
+    run that run_quantum_protocol computes from the same generator."""
     rng = np.random.default_rng(6)
-    done = 0
-    while done < 25:
-        v, w = haar_unitary(rng), haar_unitary(rng)
-        s = int(rng.integers(0, 6))
-        psi0 = random_state(rng)
-        psi = psi0.copy()
-        node = ORIGIN
-        rewound = False
-        closed = False
-        for _ in range(300):
-            branches = apply_q(v, w, psi)
-            outcome, psi = sample_branch(branches, rng)
-            node = step_node(node, Move.VERTICAL if outcome is BranchOutcome.VERTICAL
-                             else Move.HORIZONTAL)
-            if not rewound:
-                if node == TOP_ORIGIN:
-                    rewound = True
-                    psi = evolve_free(w, s, psi)
-                    psi = psi / np.linalg.norm(psi)
-            elif node == ORIGIN:
-                closed = True
-                break
-        if not closed:
-            continue
-        done += 1
-        reference = np.linalg.matrix_power(w.conj().T, s) @ psi0
-        assert _vector_residual(psi, reference) < 1e-9
+    counts = Counter()
+    for mode in ("unitary", "contraction"):
+        for _ in range(150):
+            v, w = haar_unitary(rng), haar_unitary(rng)
+            if mode == "contraction":
+                v, w = v * rng.uniform(0.9, 1.0), w * rng.uniform(0.9, 1.0)
+            s, m = int(rng.integers(0, 6)), 60
+            psi0 = random_state(rng)
+            seed = int(rng.integers(2**32))
+
+            gen = np.random.default_rng(seed)
+            psi, row, pos = psi0, 0, 0
+            rewound = False
+            outcome, q_count = RunOutcome.TRIM_FAIL, m
+            for q in range(1, m + 1):
+                branch, psi = sample_branch(apply_q(v, w, psi), gen)
+                if branch is BranchOutcome.ABORT:
+                    outcome, q_count = RunOutcome.ABORT, q
+                    break
+                if branch is BranchOutcome.VERTICAL:
+                    row ^= 1
+                else:
+                    pos += 1 - 2 * row
+                if not rewound:
+                    if (row, pos) == (1, 0):
+                        rewound = True
+                        psi = np.linalg.matrix_power(w, s) @ psi
+                        psi = psi / np.linalg.norm(psi)
+                elif (row, pos) == (0, 0):
+                    outcome, q_count = RunOutcome.SUCCESS, q
+                    break
+
+            cfg = ProtocolConfig(v=v, w=w, s=s, m=m, mode=mode)
+            rec = run_quantum_protocol(cfg, np.random.default_rng(seed), psi0=psi0)
+            assert (rec.outcome, rec.q_count) == (outcome, q_count)
+            counts[mode, outcome] += 1
+            if outcome is not RunOutcome.SUCCESS:
+                continue
+            reference = np.linalg.matrix_power(np.linalg.inv(w), s) @ psi0
+            assert _vector_residual(psi, reference) < 1e-9
+            reference /= np.linalg.norm(reference)
+            assert abs(rec.fidelity - abs(np.vdot(reference, psi)) ** 2) < 1e-12
+    assert counts["unitary", RunOutcome.SUCCESS] >= 25
+    assert counts["unitary", RunOutcome.TRIM_FAIL] > 0
+    assert counts["contraction", RunOutcome.SUCCESS] >= 25
+    assert counts["contraction", RunOutcome.ABORT] >= 25
 
 
 def test_run_walk_protocol_edges():
@@ -285,7 +279,6 @@ def test_run_walk_protocol_rate_and_parity():
             assert out.phase2_steps % 2 == 1
             assert out.q_count % 2 == 0
             assert out.q_count == out.phase1_steps + out.phase2_steps <= 12
-        assert not out.aborted
     expected = float(sum(return_pmf(0.5, t) for t in range(2, 13)))
     sigma = math.sqrt(expected * (1 - expected) / n)
     assert abs(wins / n - expected) < 5 * sigma
