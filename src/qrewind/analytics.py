@@ -15,7 +15,9 @@ whose square-root factor satisfies a four-term holonomic recurrence.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -62,7 +64,6 @@ def _pow_zero_safe(base: Fraction, exp: int) -> Fraction:
     return base ** exp
 
 
-@lru_cache(maxsize=None)
 def _first_passage_exact(p: Fraction, t: int) -> Fraction:
     if t % 2 == 0:
         return Fraction(0)
@@ -79,7 +80,6 @@ def _first_passage_exact(p: Fraction, t: int) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
 def _return_exact(p: Fraction, t: int) -> Fraction:
     if t % 2 == 1:
         return Fraction(0)
@@ -128,22 +128,31 @@ def return_pmf(p, t: int):
 
 # ── Stable float series (product form of the generating function) ────────
 
+def _sqrt_coeffs(c2: float):
+    """Yield the even coefficients h_0, h_2, h_4, ... of
+    sqrt((1-a^2)(1-c^2 a^2)) without end, given c2 = c^2 = (2p-1)^2.
+
+    From 2 g h' = g' h with the quartic g = 1 - (1+c^2) a^2 + c^2 a^4 one
+    gets
+        h_M = ((1+c^2)(M-3) h_{M-2} - c^2 (M-6) h_{M-4}) / M.
+    """
+    h4, h2 = 0.0, 1.0  # h_{M-4}, h_{M-2}; h_{-2} = 0 seeds M = 2
+    yield h2
+    for m in itertools.count(2, 2):
+        h = ((1.0 + c2) * (m - 3) * h2 - c2 * (m - 6) * h4) / m
+        yield h
+        h4, h2 = h2, h
+
+
 def _sqrt_series(p: float, t_max: int) -> np.ndarray:
     """Coefficients h_0..h_t_max of sqrt((1-a^2)(1-(2p-1)^2 a^2)).
 
-    Only even indices are nonzero. From 2 g h' = g' h with the quartic
-    g = 1 - (1+c^2) a^2 + c^2 a^4 one gets
-        h_M = ((1+c^2)(M-3) h_{M-2} - c^2 (M-6) h_{M-4}) / M.
+    Only even indices are nonzero; see _sqrt_coeffs for the recurrence.
     """
     c = 2.0 * p - 1.0
-    c2 = c * c
+    n_even = t_max // 2 + 1
     h = np.zeros(t_max + 1)
-    h[0] = 1.0
-    for m in range(2, t_max + 1, 2):
-        acc = (1.0 + c2) * (m - 3) * h[m - 2]
-        if m >= 4:
-            acc -= c2 * (m - 6) * h[m - 4]
-        h[m] = acc / m
+    h[::2] = np.fromiter(_sqrt_coeffs(c * c), float, count=n_even)
     return h
 
 
@@ -168,9 +177,21 @@ def first_passage_profile(p: float, t_max: int) -> np.ndarray:
     return out
 
 
+def _reject_underflowing_square(p: float):
+    # The return pmf divides by 2 p^2. Below the smallest normal float that
+    # denominator loses precision and then flushes to 0 (nan pmf values).
+    if p > 0.0 and 2.0 * p * p < sys.float_info.min:
+        raise ValueError(f"p = {p!r} is too small for float evaluation: "
+                         "2 p^2 falls below the smallest normal float")
+
+
 def return_profile(p: float, t_max: int) -> np.ndarray:
-    """Float pmf values P(T1 + T2 = t) for t = 1..t_max (index 0 unused)."""
+    """Float pmf values P(T1 + T2 = t) for t = 1..t_max (index 0 unused).
+
+    ValueError for 0 < p below about 1e-154, where 2 p^2 underflows.
+    """
     p = _as_float_prob(p)
+    _reject_underflowing_square(p)
     out = np.zeros(t_max + 1)
     if p == 0.0 or t_max < 2:
         return out
@@ -264,18 +285,25 @@ class TrimPlan:
 
 
 def required_m(p_min, q, dt: float | None = None, tau: float | None = None,
-               s: int = 0, grid_step: float = 0.001,
-               m_cap: int = REQUIRED_M_CAP) -> TrimPlan:
-    """Smallest even m with full-protocol success >= q across [p_min, 1].
+               s: int = 0, m_cap: int = REQUIRED_M_CAP) -> TrimPlan:
+    """Smallest even m with full-protocol success >= q for every p in [p_min, 1].
 
-    The minimum is taken over a probability grid of the given step rather
-    than assuming monotonicity in p. When both timing constants are given,
-    the running-time bound T' = m (dt + tau) + s dt is reported too.
+    Only p_min is evaluated: the worst case over [p_min, 1] sits there
+    because P(T1 + T2 <= m) is nondecreasing in p. For every even m <= 140
+    this is proven: P(T1 + T2 <= m) is an integer polynomial in p (it
+    equals cumulative_success for m <= 30), and exact root counting finds no
+    root of its derivative in (0, 1). Beyond m = 140 it is only checked: a
+    scan of a 0.001 grid over [p_min, 1] gave the same plan, bit for bit,
+    on every input tried (tests/test_analytics.py keeps that scan as the
+    oracle). When both timing constants are given, the running-time bound
+    T' = m (dt + tau) + s dt is reported too. ValueError when no even
+    budget up to m_cap reaches q.
     """
     p_min = float(p_min)
     q = float(q)
     if not 0.0 < p_min <= 1.0:
         raise ValueError("p_min must lie in (0, 1]")
+    _reject_underflowing_square(p_min)
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly between 0 and 1")
     for name, value in (("dt", dt), ("tau", tau)):
@@ -283,41 +311,25 @@ def required_m(p_min, q, dt: float | None = None, tau: float | None = None,
             raise ValueError(f"{name} must be finite and positive")
     if s < 0:
         raise ValueError("s must be nonnegative")
-    n_steps = int(math.floor((1.0 - p_min) / grid_step + 1e-9))
-    grid = p_min + grid_step * np.arange(n_steps + 1)
-    if grid[-1] < 1.0 - 1e-12:
-        grid = np.append(grid, 1.0)
-    grid = np.clip(grid, 0.0, 1.0)
-
-    c = 2.0 * grid - 1.0
+    c = 2.0 * p_min - 1.0
     c2 = c * c
-    denom = 2.0 * grid * grid
-    # rolling window of the sqrt-series coefficients h_{M-4}..h_M per grid p
-    h4 = np.zeros_like(grid)   # h_{M-4}
-    h2 = np.zeros_like(grid)   # h_{M-2}
-    h2[:] = 1.0                # seeds as h_0 when M = 2
-    cum = np.zeros_like(grid)
-    for m in range(2, m_cap + 1, 2):
-        h0 = ((1.0 + c2) * (m - 3) * h2 - c2 * (m - 6) * h4) / m  # h_m
-        if m == 4:
-            r = (c2 - h0 - c * h2) / denom           # return pmf at t = 2
-        elif m >= 6:
-            r = -(h0 + c * h2) / denom               # return pmf at t = m - 2
-        else:
-            r = np.zeros_like(grid)
-        cum += r
-        budget = m - 2
-        if budget >= 2:
-            k = int(np.argmin(cum))
-            if cum[k] >= q:
-                t_prime = None
-                if dt is not None and tau is not None:
-                    t_prime = budget * (dt + tau) + s * dt
-                return TrimPlan(m=budget, worst_grid_p=float(grid[k]),
-                                worst_grid_prob=float(cum[k]), t_prime=t_prime)
-        h4, h2 = h2, h0
-    raise RuntimeError(f"no gate budget up to {m_cap} reaches success {q} "
-                       f"for p_min = {p_min}")
+    denom = 2.0 * p_min * p_min
+    coeffs = _sqrt_coeffs(c2)
+    next(coeffs)                                # h_0
+    h_prev, h = next(coeffs), next(coeffs)      # h_2, h_4
+    cum = (c2 - h - c * h_prev) / denom         # P(T1 + T2 = 2)
+    # each step pairs a budget with h_{budget + 4}
+    for budget, h_next in zip(range(2, m_cap + 1, 2), coeffs):
+        if cum >= q:
+            t_prime = None
+            if dt is not None and tau is not None:
+                t_prime = budget * (dt + tau) + s * dt
+            return TrimPlan(m=budget, worst_grid_p=p_min, worst_grid_prob=cum,
+                            t_prime=t_prime)
+        h_prev, h = h, h_next
+        cum += -(h + c * h_prev) / denom        # P(T1 + T2 = budget + 2)
+    raise ValueError(f"no gate budget up to {m_cap} reaches success {q} "
+                     f"for p_min = {p_min}")
 
 
 # ── Distribution containers ──────────────────────────────────────────────

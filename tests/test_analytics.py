@@ -1,16 +1,20 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qrewind.analytics import (GENFUNC_SERIES_GUARD, HittingDist,
-                               cumulative_profile, cumulative_success,
-                               first_passage_dist, first_passage_pmf,
-                               first_passage_profile, gen_binomial,
-                               genfunc_closed, genfunc_series, required_m,
-                               return_pmf, return_profile)
+from qrewind import walk
+from qrewind.analytics import (GENFUNC_SERIES_GUARD, REQUIRED_M_CAP,
+                               HittingDist, TrimPlan, cumulative_profile,
+                               cumulative_success, first_passage_dist,
+                               first_passage_pmf, first_passage_profile,
+                               gen_binomial, genfunc_closed, genfunc_series,
+                               required_m, return_pmf, return_profile)
 
 GRID = [Fraction(k, 10) for k in range(11)]
 
@@ -192,6 +196,107 @@ def test_required_m_definitional():
         required_m(0.0, 0.5)
     with pytest.raises(ValueError):
         required_m(0.5, 1.0)
+    with pytest.raises(ValueError, match="no gate budget up to 4"):
+        required_m(0.5, 0.99, m_cap=4)
+    for p in (1e-300, 1e-160):  # 2 p^2 underflows: nan rows, or a divide by 0
+        with pytest.raises(ValueError, match="too small"):
+            required_m(p, 0.5)
+        with pytest.raises(ValueError, match="too small"):
+            return_profile(p, 6)
+    assert np.all(np.isfinite(return_profile(1e-150, 6)))
+
+
+def _grid_required_m(p_min, q, dt: float | None = None, tau: float | None = None,
+                     s: int = 0, grid_step: float = 0.001,
+                     m_cap: int = REQUIRED_M_CAP) -> TrimPlan:
+    """Reference: the vectorised scan over a p grid that required_m replaced.
+
+    The minimum is taken over a probability grid of the given step rather
+    than assuming monotonicity in p. When both timing constants are given,
+    the running-time bound T' = m (dt + tau) + s dt is reported too.
+    """
+    p_min = float(p_min)
+    q = float(q)
+    if not 0.0 < p_min <= 1.0:
+        raise ValueError("p_min must lie in (0, 1]")
+    if not 0.0 < q < 1.0:
+        raise ValueError("q must lie strictly between 0 and 1")
+    for name, value in (("dt", dt), ("tau", tau)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive")
+    if s < 0:
+        raise ValueError("s must be nonnegative")
+    n_steps = int(math.floor((1.0 - p_min) / grid_step + 1e-9))
+    grid = p_min + grid_step * np.arange(n_steps + 1)
+    if grid[-1] < 1.0 - 1e-12:
+        grid = np.append(grid, 1.0)
+    grid = np.clip(grid, 0.0, 1.0)
+
+    c = 2.0 * grid - 1.0
+    c2 = c * c
+    denom = 2.0 * grid * grid
+    # rolling window of the sqrt-series coefficients h_{M-4}..h_M per grid p
+    h4 = np.zeros_like(grid)   # h_{M-4}
+    h2 = np.zeros_like(grid)   # h_{M-2}
+    h2[:] = 1.0                # seeds as h_0 when M = 2
+    cum = np.zeros_like(grid)
+    for m in range(2, m_cap + 1, 2):
+        h0 = ((1.0 + c2) * (m - 3) * h2 - c2 * (m - 6) * h4) / m  # h_m
+        if m == 4:
+            r = (c2 - h0 - c * h2) / denom           # return pmf at t = 2
+        elif m >= 6:
+            r = -(h0 + c * h2) / denom               # return pmf at t = m - 2
+        else:
+            r = np.zeros_like(grid)
+        cum += r
+        budget = m - 2
+        if budget >= 2:
+            k = int(np.argmin(cum))
+            if cum[k] >= q:
+                t_prime = None
+                if dt is not None and tau is not None:
+                    t_prime = budget * (dt + tau) + s * dt
+                return TrimPlan(m=budget, worst_grid_p=float(grid[k]),
+                                worst_grid_prob=float(cum[k]), t_prime=t_prime)
+        h4, h2 = h2, h0
+    raise RuntimeError(f"no gate budget up to {m_cap} reaches success {q} "
+                       f"for p_min = {p_min}")
+
+
+@pytest.mark.parametrize("p_min, q", [(0.005, 0.9495), (0.005, 0.9505),
+                                      (0.016, 0.95), (0.05, 0.95)])
+def test_required_m_matches_grid_scan(p_min, q):
+    assert required_m(p_min, q) == _grid_required_m(p_min, q)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(p_min=st.floats(0.05, 1.0), q=st.floats(0.01, 0.95))
+def test_required_m_matches_grid_scan_property(p_min, q):
+    timing = {"dt": 0.5, "tau": 0.25, "s": 2}
+    assert required_m(p_min, q, **timing) == _grid_required_m(p_min, q, **timing)
+
+
+def test_return_time_success_is_monotone_in_p():
+    # required_m evaluates only p_min; this is the exact fact behind that
+    prev = None
+    for k in range(1, 97):
+        cum = list(itertools.accumulate(walk.dp_return_time(Fraction(k, 97), 60).probs))
+        if prev is not None:
+            assert all(a >= b for a, b in zip(cum, prev)), k
+        prev = cum
+
+
+def test_exact_pmfs_keep_no_per_p_cache():
+    first_passage_dist(Fraction(1, 307), 61)  # fills the p-free binomial caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for a in range(2, 52):
+            first_passage_dist(Fraction(a, 307), 61)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 100_000
 
 
 def test_hitting_dist_container():

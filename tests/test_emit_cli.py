@@ -183,7 +183,7 @@ def test_cli_error_paths(tmp_path, capsys):
                                  *exact, "--out", str(out)]) == 2, (method, p, exact)
                 assert "error:" in capsys.readouterr().err
                 assert not out.exists()
-    for p in ("1/0", "0/0", "nan"):
+    for p in ("1/0", "0/0", "nan", "1e-300"):
         assert cli.main(["curve", f"--p={p}", "--mmax", "4", "--out", str(out)]) == 2, p
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
@@ -192,8 +192,11 @@ def test_cli_error_paths(tmp_path, capsys):
         assert cli.main(["required-m", "--pmin", "0.5", "--q", "0.5", *timing]) == 2, timing
         captured = capsys.readouterr()
         assert "error:" in captured.err and "m = " not in captured.out
-    assert cli.main(["required-m", "--pmin", "0", "--q", "0.5"]) == 2
-    assert "error:" in capsys.readouterr().err
+    # 1e-4: no budget up to REQUIRED_M_CAP reaches q (about 1 s)
+    for pmin in ("0", "1e-300", "1e-4"):
+        assert cli.main(["required-m", "--pmin", pmin, "--q", "0.95"]) == 2, pmin
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "m = " not in captured.out
 
     # one stream past the bound; spawning streams allocates per stream
     workers = str(walk.MAX_STREAMS + 1)
