@@ -209,23 +209,12 @@ def test_required_m_definitional():
 def _grid_required_m(p_min, q, dt: float | None = None, tau: float | None = None,
                      s: int = 0, grid_step: float = 0.001,
                      m_cap: int = REQUIRED_M_CAP) -> TrimPlan:
-    """Reference: the vectorised scan over a p grid that required_m replaced.
-
-    The minimum is taken over a probability grid of the given step rather
-    than assuming monotonicity in p. When both timing constants are given,
-    the running-time bound T' = m (dt + tau) + s dt is reported too.
+    """Reference for valid inputs: the scan over a p grid that required_m
+    replaced. It takes the minimum over the grid instead of assuming that
+    success is monotone in p.
     """
     p_min = float(p_min)
     q = float(q)
-    if not 0.0 < p_min <= 1.0:
-        raise ValueError("p_min must lie in (0, 1]")
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie strictly between 0 and 1")
-    for name, value in (("dt", dt), ("tau", tau)):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive")
-    if s < 0:
-        raise ValueError("s must be nonnegative")
     n_steps = int(math.floor((1.0 - p_min) / grid_step + 1e-9))
     grid = p_min + grid_step * np.arange(n_steps + 1)
     if grid[-1] < 1.0 - 1e-12:
