@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analytics, qgate
 from .mat2 import as_mat2, branch_prob_invariant, is_contraction, is_unitary
-from .walk import LANES, sample_return_batch, streams
+from .walk import LANES, chunks, sample_return_batch
 
 
 class RunOutcome(Enum):
@@ -87,10 +87,30 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class _CompiledProtocol:
-    """Per-config precomputation shared by every run of a campaign."""
+    """Per-config precomputation shared by every run of a campaign.
+
+    xh and yh are the unscaled branch maps x^ = (WV - VW)/2 and
+    y^ = (VW + WV)/2 of the scalar reference _run_compiled, which measures
+    both branch weights at every gate. branches stacks the same maps for
+    the lane kernel, so that psi @ branches holds x^ psi and y^ psi side by
+    side. In contraction mode they are unscaled and p is None. In unitary
+    mode (the fast path) x^dag x^ = p I and y^dag y^ = (1 - p) I, so the
+    vertical weight |x^ psi|^2 = p is the same for every unit state: p is
+    taken as ||x^||_F^2 / 2, and each map is divided by the square root of
+    its own ||.||_F^2 / 2, which makes both isometries. A map that is
+    exactly zero (p = 0 or p = 1) is never drawn and stays unscaled. The
+    entries of x^ and y^ carry an absolute error of about 1e-16 (rounding
+    in the inputs and the products), so the scaled maps miss an isometry by
+    about 1e-16/sqrt(p) and 1e-16/sqrt(1 - p). Nothing renormalises the
+    state; the final fidelity against W^{-s} psi0 certifies the run.
+    Scaling by branch_prob_invariant instead would miss by far more near
+    p = 0, where its trace cancels.
+    """
 
     xh: tuple[complex, complex, complex, complex]   # (WV - VW)/2 entries
     yh: tuple[complex, complex, complex, complex]   # (VW + WV)/2 entries
+    branches: np.ndarray     # (2, 4): psi @ branches = [x^ psi, y^ psi]
+    p: float | None          # unitary vertical weight; None in contraction mode
     w_pow: np.ndarray        # W^s, applied at the rewind wait
     w_inv_pow: np.ndarray    # W^{-s}, defines the reference state
     m: int
@@ -114,9 +134,19 @@ def _compile(cfg: ProtocolConfig) -> _CompiledProtocol:
             np.array([[w[1, 1], -w[0, 1]], [-w[1, 0], w[0, 0]]], dtype=complex) / det
     half_comm = (w @ v - v @ w) / 2.0   # vertical branch, sign per apply_q
     half_anti = (v @ w + w @ v) / 2.0
+    branches = np.hstack([half_comm.T, half_anti.T])
+    p = None
+    if cfg.mode == "unitary":
+        p = float(np.vdot(half_comm, half_comm).real) / 2.0
+        for cols, mat in ((slice(0, 2), half_comm), (slice(2, 4), half_anti)):
+            weight = float(np.vdot(mat, mat).real) / 2.0
+            if weight > 0.0:
+                branches[:, cols] /= math.sqrt(weight)
     return _CompiledProtocol(
         xh=tuple(complex(z) for z in half_comm.ravel()),
         yh=tuple(complex(z) for z in half_anti.ravel()),
+        branches=branches,
+        p=p,
         w_pow=np.linalg.matrix_power(w, cfg.s),
         w_inv_pow=np.linalg.matrix_power(w_inv, cfg.s),
         m=cfg.m,
@@ -265,10 +295,18 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
     Each lane holds one run: its rail (row), its signed position h (pos on
     the lower rail, -pos on the upper one, so a horizontal step adds 1 and
     a vertical step negates h), its alive flag and its state as a row of
-    psi. Gate t draws one uniform per lane and follows the branch semantics
-    of _run_compiled. Finished lanes stay in place, masked out, so every
-    array keeps its size. The classical walk without amplitudes is
+    psi. Gate t draws one uniform per lane and applies both branch maps in
+    one matmul. Finished lanes stay in place, masked out, so every array
+    keeps its size. The classical walk without amplitudes is
     walk.sample_return_batch.
+
+    Unitary mode is the fast path: the maps of cp are isometries and the
+    vertical weight is the constant cp.p, so the branch draw is u < p and
+    neither the branch nor the W^s wait is renormalised. Each vertical step
+    moves the norm by about 1e-16/sqrt(p) (see _CompiledProtocol), and the
+    final fidelity is the certificate. Contraction mode measures both
+    weights per lane, as _run_compiled does: u beyond their sum aborts the
+    run, and the chosen branch and the wait are renormalised.
 
     A lane at the top origin is always there for the first time: after
     that arrival the walk keeps pos <= 0 until it closes at the lower
@@ -277,21 +315,25 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
     row = np.zeros(width, dtype=bool)
     h = np.zeros(width, dtype=np.int64)
     alive = np.ones(width, dtype=bool)
-    branches = np.hstack([np.reshape(cp.xh, (2, 2)).T, np.reshape(cp.yh, (2, 2)).T])
     psi = (_haar_lanes(rng, width) if cp.psi0 is None
            else np.repeat(cp.psi0[None, :], width, axis=0))
     ref = psi @ cp.w_inv_pow.T
     ref = (ref / np.sqrt(_norm2(ref))[:, None]).conj()
+    unitary = cp.p is not None
     n_alive = width
     for t in range(1, cp.m + 1):
         u = rng.random(width)
-        amps = psi @ branches
-        p_vert, p_horiz = _norm2(amps[:, :2]), _norm2(amps[:, 2:])
-        vert = u < p_vert
-        live = alive & (u < p_vert + p_horiz)
+        amps = psi @ cp.branches
+        if unitary:
+            vert, live = u < cp.p, alive
+        else:
+            p_vert, p_horiz = _norm2(amps[:, :2]), _norm2(amps[:, 2:])
+            vert = u < p_vert
+            live = alive & (u < p_vert + p_horiz)
         psi = np.where(vert[:, None], amps[:, :2], amps[:, 2:])
-        norm = np.sqrt(np.where(vert, p_vert, p_horiz))
-        np.divide(psi, norm[:, None], out=psi, where=live[:, None])
+        if not unitary:
+            norm = np.sqrt(np.where(vert, p_vert, p_horiz))
+            np.divide(psi, norm[:, None], out=psi, where=live[:, None])
         row ^= vert
         h += ~vert
         np.negative(h, out=h, where=vert)
@@ -300,11 +342,15 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
         n_done = int(np.count_nonzero(done))
         arrived = at_origin & row
         if arrived.any():  # wait W^s at the top origin
-            waited = psi @ cp.w_pow.T
-            nrm = np.sqrt(_norm2(waited))
-            live &= ~(arrived & (nrm < 1e-300))
-            np.divide(waited, nrm[:, None], out=psi, where=(arrived & live)[:, None])
-        n_abort = int(np.count_nonzero(alive & ~live))
+            if unitary:
+                psi[arrived] = psi[arrived] @ cp.w_pow.T
+            else:
+                waited = psi @ cp.w_pow.T
+                nrm = np.sqrt(_norm2(waited))
+                live &= ~(arrived & (nrm < 1e-300))
+                np.divide(waited, nrm[:, None], out=psi,
+                          where=(arrived & live)[:, None])
+        n_abort = 0 if unitary else int(np.count_nonzero(alive & ~live))
         if n_done:
             overlap = (ref * psi).sum(axis=1)
             fidelity = overlap.real ** 2 + overlap.imag ** 2
@@ -332,15 +378,22 @@ def monte_carlo(cfg: ProtocolConfig) -> Statistics:
     machine's core count.
 
     With matrices, each stream's runs go through the lane kernel
-    (_run_lanes) in blocks of at most LANES runs. A block is a structure of
-    arrays with one lane per run: rail, signed position and alive flag,
-    plus an (lanes, 2) complex state and the conjugated reference
-    W^{-s} psi0. The block draws its Haar states and references in bulk,
-    then one rng.random(lanes) per gate; the branch choice, the W^s wait at
-    the top origin and the success test are masked operations over all
-    lanes. p_override configs are the classical walk, whose runs succeed
-    when they return to the lower origin within m steps:
-    walk.sample_return_batch samples exactly that.
+    (_run_lanes) in blocks of at most LANES runs (walk.chunks). A block is
+    a structure of arrays with one lane per run: rail, signed position and
+    alive flag, plus an (lanes, 2) complex state and the conjugated
+    reference W^{-s} psi0. The block draws its Haar states and references
+    in bulk, then one rng.random(lanes) per gate; the branch choice, the
+    W^s wait at the top origin and the success test are masked operations
+    over all lanes. Unitary mode takes the kernel's fast path: one
+    state-independent branch probability p, drawn as u < p, with isometric
+    branch maps and no renormalisation. Its states drift from unit norm by
+    about 1e-16/sqrt(p) per vertical step, which shows in the last bits of
+    min_fidelity and mean_fidelity (mean_fidelity can exceed 1 by a few
+    ulps); the fidelity against W^{-s} psi0 stays the certificate.
+    Contraction mode measures the branch weights per state. p_override
+    configs are the classical walk, whose runs succeed when they return to
+    the lower origin within m steps: walk.sample_return_batch samples
+    exactly that.
 
     The lane width is a module constant, not an option, because the
     kernel's working set sets the campaign's peak memory; walk.LANES gives
@@ -359,9 +412,8 @@ def monte_carlo(cfg: ProtocolConfig) -> Statistics:
             tally.hist[cfg.m] += sample.timeouts
     else:
         cp = _compile(cfg)
-        for rng, n in streams(cfg.seed, cfg.runs, cfg.workers):
-            for start in range(0, n, LANES):
-                _run_lanes(rng, min(LANES, n - start), cp, tally)
+        for rng, n in chunks(cfg.seed, cfg.runs, cfg.workers, LANES):
+            _run_lanes(rng, n, cp, tally)
     n_runs = sum(tally.hist.values())
     fidelities = cfg.v is not None and tally.n_success > 0
     return Statistics(

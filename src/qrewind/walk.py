@@ -46,6 +46,14 @@ MAX_STREAMS = 1024  # bound on workers: SeedSequence.spawn allocates per stream
 # when compacting all the way down and by 0.08 MB with the floor.
 LANES = 1024
 
+# Runs of one stream that _ladder_mc walks at a time. A lane costs about
+# 25 bytes at the peak of a step (rail, position, live mask, the step's
+# uniforms and the masks derived from them; tracemalloc gave 21 to 25 bytes
+# per run at 2e5 and 4e5 runs), so a chunk bounds the sampler's working set
+# near 26 MB whatever the run count. A module constant, not an option, for
+# the same reason as LANES.
+CHUNK = 2**20
+
 
 def streams(seed: int, runs: int, workers: int):
     """Yield (rng, n) for each of `workers` RNG streams in order.
@@ -59,6 +67,17 @@ def streams(seed: int, runs: int, workers: int):
     base, extra = divmod(runs, workers)
     for idx, stream in enumerate(np.random.SeedSequence(seed).spawn(workers)):
         yield np.random.default_rng(stream), base + (idx < extra)
+
+
+def chunks(seed: int, runs: int, workers: int, size: int):
+    """Yield (rng, n) for each block of at most `size` runs, stream by stream.
+
+    A stream of streams(seed, runs, workers) is cut into consecutive blocks
+    that all draw from that stream's generator, in order.
+    """
+    for rng, n in streams(seed, runs, workers):
+        for start in range(0, n, size):
+            yield rng, min(size, n - start)
 
 
 @dataclass
@@ -77,15 +96,18 @@ def _ladder_mc(p, runs: int, cap: int, seed: int, workers: int,
                target_row: Row) -> FirstPassageSample:
     """Monte Carlo twin of _ladder_dp: sampled first hits of an origin.
 
-    Each stream of streams(seed, runs, workers) walks its runs together as
-    lanes: rail (True on the upper one), signed position h (pos on the lower
-    rail, -pos on the upper one, so a horizontal step adds 1 and a vertical
-    step negates h) and a live mask. Step t draws one rng.random(lanes) and
-    counts the live lanes at the origin of target_row into counts[t]. After
-    a step with hits the finished lanes are compacted away while at least
-    LANES stay live (see LANES); below that they stay in place, masked.
-    Runs still live after step cap are timeouts. The p = 0 walk drifts
-    right forever, so every run times out.
+    Each stream of streams(seed, runs, workers) walks its runs in chunks of
+    at most CHUNK, one after another from the stream's generator. A chunk
+    walks its runs together as lanes: rail (True on the upper one), signed
+    position h (pos on the lower rail, -pos on the upper one, so a
+    horizontal step adds 1 and a vertical step negates h) and a live mask.
+    Step t draws one rng.random(lanes) and counts the live lanes at the
+    origin of target_row into counts[t]. After a step with hits the
+    finished lanes are compacted away while at least LANES stay live (see
+    LANES); below that they stay in place, masked. Runs still live after
+    step cap are timeouts. The p = 0 walk drifts right forever, so every
+    run times out. A stream of at most CHUNK runs is one chunk, so its
+    draws, and the sample, do not depend on CHUNK.
     """
     p = float(p)
     if not 0.0 <= p <= 1.0:
@@ -93,7 +115,7 @@ def _ladder_mc(p, runs: int, cap: int, seed: int, workers: int,
     upper = target_row is Row.UPPER
     counts = np.zeros(cap + 1, dtype=np.int64)
     timeouts = 0
-    for rng, n_live in streams(seed, runs, workers):
+    for rng, n_live in chunks(seed, runs, workers, CHUNK):
         row = np.zeros(n_live, dtype=bool)
         h = np.zeros(n_live, dtype=np.int64)
         live = np.ones(n_live, dtype=bool)

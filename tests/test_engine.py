@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qrewind.analytics import cumulative_success, return_pmf
-from qrewind.engine import (LANES, ProtocolConfig, RunOutcome, monte_carlo,
-                            run_quantum_protocol, success_curve)
-from qrewind.mat2 import HADAMARD, SIGMA_X, SIGMA_Z, haar_unitary
+from qrewind.engine import (LANES, ProtocolConfig, RunOutcome, _compile, _norm2,
+                            monte_carlo, run_quantum_protocol, success_curve)
+from qrewind.mat2 import HADAMARD, SIGMA_X, SIGMA_Y, SIGMA_Z, haar_unitary
 from qrewind.qgate import random_state
 from qrewind.walk import run_walk_protocol
 
@@ -190,8 +190,10 @@ def _assert_counts_consistent(stats, runs):
 
 def test_kernel_pauli_pair_always_succeeds_at_two():
     runs = LANES + 5
-    stats = monte_carlo(ProtocolConfig(v=SIGMA_X, w=SIGMA_Z, s=3, m=9, seed=1,
-                                       runs=runs, workers=2))
+    cfg = ProtocolConfig(v=SIGMA_X, w=SIGMA_Z, s=3, m=9, seed=1, runs=runs,
+                         workers=2)
+    assert _compile(cfg).p == 1.0  # fast path; the zero horizontal map stays unscaled
+    stats = monte_carlo(cfg)
     assert stats.n_success == runs
     assert stats.q_count_hist == {2: runs}
     assert stats.min_fidelity == pytest.approx(1.0, abs=1e-12)
@@ -200,7 +202,9 @@ def test_kernel_pauli_pair_always_succeeds_at_two():
 
 def test_kernel_commuting_pair_always_trim_fails():
     u = haar_unitary(np.random.default_rng(1))
-    stats = monte_carlo(ProtocolConfig(v=u, w=u, m=16, seed=2, runs=700))
+    cfg = ProtocolConfig(v=u, w=u, m=16, seed=2, runs=700)
+    assert _compile(cfg).p == 0.0  # fast path; the zero vertical map stays unscaled
+    stats = monte_carlo(cfg)
     assert stats.n_trim_fail == 700
     assert stats.q_count_hist == {16: 700}
     assert stats.min_fidelity is None and stats.mean_fidelity is None
@@ -227,11 +231,37 @@ def test_classical_campaign_pinned_result():
                          "26": 27, "28": 18, "30": 726}}
 
 
+def test_amplitude_campaign_pinned_result():
+    # recorded before the unitary fast path, which kept every branch draw;
+    # only the last bits of the fidelities moved
+    rng = np.random.default_rng(13)
+    v, w = haar_unitary(rng), haar_unitary(rng)
+    stats = monte_carlo(ProtocolConfig(v=v, w=w, s=3, m=200, runs=3000, seed=5,
+                                       workers=2))
+    assert (stats.n_success, stats.n_trim_fail, stats.n_abort) == (2492, 508, 0)
+    assert stats.q_count_hist == {
+        2: 272, 4: 247, 6: 227, 8: 181, 10: 134, 12: 96, 14: 107, 16: 94, 18: 67,
+        20: 76, 22: 56, 24: 55, 26: 46, 28: 40, 30: 40, 32: 39, 34: 23, 36: 35,
+        38: 30, 40: 33, 42: 30, 44: 20, 46: 17, 48: 17, 50: 22, 52: 19, 54: 12,
+        56: 14, 58: 17, 60: 17, 62: 20, 64: 12, 66: 17, 68: 9, 70: 8, 72: 11,
+        74: 10, 76: 12, 78: 15, 80: 13, 82: 6, 84: 8, 86: 8, 88: 4, 90: 8, 92: 8,
+        94: 6, 96: 5, 98: 3, 100: 7, 102: 10, 104: 5, 106: 12, 108: 6, 110: 6,
+        112: 5, 114: 4, 116: 4, 118: 3, 120: 3, 122: 10, 124: 3, 126: 3, 128: 5,
+        130: 4, 132: 1, 134: 6, 136: 8, 138: 7, 140: 4, 142: 4, 144: 6, 146: 3,
+        148: 7, 150: 1, 152: 3, 154: 5, 156: 3, 158: 3, 160: 3, 162: 3, 164: 6,
+        166: 2, 168: 6, 170: 4, 174: 4, 176: 4, 178: 5, 180: 4, 184: 4, 186: 9,
+        188: 3, 190: 3, 192: 2, 194: 2, 196: 5, 198: 2, 200: 512}
+    assert stats.min_fidelity == pytest.approx(0.9999999999999993, abs=1e-12)
+    assert stats.mean_fidelity == pytest.approx(1.0, abs=1e-12)
+
+
 def test_kernel_fixed_psi0_certificate():
     rng = np.random.default_rng(4)
     v, w = haar_unitary(rng), haar_unitary(rng)
-    stats = monte_carlo(ProtocolConfig(v=v, w=w, s=4, m=200, seed=5, runs=3000,
-                                       workers=2, psi0=random_state(rng)))
+    cfg = ProtocolConfig(v=v, w=w, s=4, m=200, seed=5, runs=3000, workers=2,
+                         psi0=random_state(rng))
+    assert _compile(cfg).p is not None  # fast path
+    stats = monte_carlo(cfg)
     assert stats.n_success > 100
     assert stats.min_fidelity >= 1 - 1e-9
 
@@ -302,3 +332,64 @@ def test_kernel_classical_matches_walk_oracle():
     _assert_same_distribution(stats.q_count_hist, cfg.runs, hist, 2 * 10**4)
     _assert_same_distribution({"success": stats.n_success}, cfg.runs,
                               {"success": n_success}, 2 * 10**4)
+
+
+# ── unitary fast path: prescaled isometric maps and its certificate ──
+
+def _rotation_pair(theta: float, alpha: float, beta: float, rng):
+    """exp(-i beta n.sigma) and exp(-i alpha m.sigma), axes theta apart.
+
+    The axes are random unit vectors and each matrix carries a random global
+    phase. The branch probability is exactly
+    sin^2(alpha) sin^2(beta) sin^2(theta).
+    """
+    m = rng.standard_normal(3)
+    m /= np.linalg.norm(m)
+    e = rng.standard_normal(3)
+    e -= (e @ m) * m
+    e /= np.linalg.norm(e)
+    n = math.cos(theta) * m + math.sin(theta) * e
+
+    def rot(angle, axis):
+        gen = axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z
+        return (np.exp(2j * math.pi * rng.random())
+                * (math.cos(angle) * np.eye(2) - 1j * math.sin(angle) * gen))
+
+    return rot(beta, n), rot(alpha, m)
+
+
+@pytest.mark.parametrize("p_exact", [1e-12, 1e-9, 1e-6, 1e-3, 0.3, 0.5,
+                                     1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
+def test_fast_path_maps_are_isometries(p_exact):
+    # the scaled maps miss an isometry by about 1e-16/sqrt(p) (vertical) and
+    # 1e-16/sqrt(1 - p) (horizontal); over 200 such pairs the worst miss
+    # was 2.1e-10 at p = 1e-12 and 2.0e-10 at p = 1 - 1e-12
+    rng = np.random.default_rng(round(-math.log10(min(p_exact, 1 - p_exact))))
+    psi = rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2))
+    psi /= np.sqrt(_norm2(psi))[:, None]
+    half = math.pi / 2
+    if p_exact < 0.5:
+        angles = [(math.asin(math.sqrt(p_exact)), half, half),
+                  (math.asin(math.sqrt(p_exact / 0.64)), math.asin(0.8), half)]
+    else:  # only a pair of reflections gets close to p = 1
+        angles = [(math.acos(math.sqrt(1 - p_exact)), half, half)]
+    for theta, alpha, beta in angles * 4:
+        v, w = _rotation_pair(theta, alpha, beta, rng)
+        cp = _compile(ProtocolConfig(v=v, w=w, s=2, m=4).validate())
+        assert cp.p == pytest.approx(p_exact, rel=1e-6)
+        amps = psi @ cp.branches
+        assert np.abs(_norm2(amps[:, :2]) - 1.0).max() <= 1e-9
+        assert np.abs(_norm2(amps[:, 2:]) - 1.0).max() <= 1e-9
+
+
+def test_fast_path_fidelity_is_two_sided():
+    # a drifting norm can push the fidelity above 1 as well as below it
+    rng = np.random.default_rng(17)
+    for seed in range(6):
+        v, w = haar_unitary(rng), haar_unitary(rng)
+        stats = monte_carlo(ProtocolConfig(v=v, w=w, s=seed, m=200, seed=seed,
+                                           runs=1500, workers=2))
+        assert stats.n_success > 100
+        assert stats.min_fidelity >= 1 - 1e-9
+        assert stats.mean_fidelity <= 1 + 1e-9
+

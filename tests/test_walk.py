@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrewind import walk
 from qrewind.analytics import first_passage_pmf, return_pmf
 from qrewind.engine import ProtocolConfig, RunOutcome, run_quantum_protocol
 from qrewind.mat2 import haar_unitary
@@ -161,6 +162,33 @@ def test_return_sampler_agrees_with_dp(p, runs, workers):
     sigma = math.sqrt(survival * (1 - survival) / runs)
     assert abs(sample.timeouts / runs - survival) < 5 * sigma
 
+
+
+@pytest.mark.parametrize("sampler, dp", [(sample_first_passage_batch, dp_first_passage),
+                                         (sample_return_batch, dp_return_time)])
+def test_sampler_walks_streams_in_chunks(monkeypatch, sampler, dp):
+    runs, cap = 3 * 10**4, 31
+    whole = sampler(0.4, runs=runs, cap=cap, seed=5, workers=2)
+    # streams of 15000 runs: chunks of 4000, 4000, 4000 and 3000, the first
+    # three compacting down to LANES live lanes and the last one masked
+    monkeypatch.setattr(walk, "CHUNK", 4000)
+    sample = sampler(0.4, runs=runs, cap=cap, seed=5, workers=2)
+    assert int(sample.counts.sum()) + sample.timeouts == runs
+    assert sample.counts.tolist() != whole.counts.tolist()  # the chunks drew anew
+    dist = dp(0.4, cap)
+    pmf = sample.empirical_pmf()
+    for t in range(1, cap + 1):
+        expected = dist.prob(t)
+        sigma = math.sqrt(max(expected * (1 - expected), 1e-12) / runs)
+        assert abs(pmf[t] - expected) < 5 * sigma, t
+    survival = 1 - sum(dist.probs)
+    sigma = math.sqrt(survival * (1 - survival) / runs)
+    assert abs(sample.timeouts / runs - survival) < 5 * sigma
+    # a stream that fits in one chunk is walked exactly as without chunks
+    monkeypatch.setattr(walk, "CHUNK", runs // 2)
+    same = sampler(0.4, runs=runs, cap=cap, seed=5, workers=2)
+    assert same.counts.tolist() == whole.counts.tolist()
+    assert same.timeouts == whole.timeouts
 
 def _vector_residual(a, b):
     """Norm of the component of a orthogonal to b, relative to scales."""
