@@ -392,4 +392,3 @@ def test_fast_path_fidelity_is_two_sided():
         assert stats.n_success > 100
         assert stats.min_fidelity >= 1 - 1e-9
         assert stats.mean_fidelity <= 1 + 1e-9
-

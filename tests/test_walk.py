@@ -163,14 +163,12 @@ def test_return_sampler_agrees_with_dp(p, runs, workers):
     assert abs(sample.timeouts / runs - survival) < 5 * sigma
 
 
-
 @pytest.mark.parametrize("sampler, dp", [(sample_first_passage_batch, dp_first_passage),
                                          (sample_return_batch, dp_return_time)])
 def test_sampler_walks_streams_in_chunks(monkeypatch, sampler, dp):
     runs, cap = 3 * 10**4, 31
     whole = sampler(0.4, runs=runs, cap=cap, seed=5, workers=2)
-    # streams of 15000 runs: chunks of 4000, 4000, 4000 and 3000, the first
-    # three compacting down to LANES live lanes and the last one masked
+    # streams of 15000 runs, each walked as chunks of 4000, 4000, 4000 and 3000
     monkeypatch.setattr(walk, "CHUNK", 4000)
     sample = sampler(0.4, runs=runs, cap=cap, seed=5, workers=2)
     assert int(sample.counts.sum()) + sample.timeouts == runs
@@ -189,6 +187,7 @@ def test_sampler_walks_streams_in_chunks(monkeypatch, sampler, dp):
     same = sampler(0.4, runs=runs, cap=cap, seed=5, workers=2)
     assert same.counts.tolist() == whole.counts.tolist()
     assert same.timeouts == whole.timeouts
+
 
 def _vector_residual(a, b):
     """Norm of the component of a orthogonal to b, relative to scales."""
