@@ -137,9 +137,8 @@ def _compile(cfg: ProtocolConfig) -> _CompiledProtocol:
     branches = np.hstack([half_comm.T, half_anti.T])
     p = None
     if cfg.mode == "unitary":
-        p = float(np.vdot(half_comm, half_comm).real) / 2.0
-        for cols, mat in ((slice(0, 2), half_comm), (slice(2, 4), half_anti)):
-            weight = float(np.vdot(mat, mat).real) / 2.0
+        p, q = (float(np.vdot(a, a).real) / 2.0 for a in (half_comm, half_anti))
+        for cols, weight in ((slice(0, 2), p), (slice(2, 4), q)):
             if weight > 0.0:
                 branches[:, cols] /= math.sqrt(weight)
     return _CompiledProtocol(
