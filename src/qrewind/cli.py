@@ -132,11 +132,10 @@ def _cmd_dist(args) -> int:
 
 def _cmd_curve(args) -> int:
     if args.matrices:
-        v, w = load_matrices(args.matrices)
-        curve = engine.success_curve(v=v, w=w, m_max=args.mmax)
+        p = branch_prob_invariant(*load_matrices(args.matrices))
     else:
-        curve = engine.success_curve(p=float(_parse_prob(args.p, exact=False)),
-                                     m_max=args.mmax)
+        p = float(_parse_prob(args.p, exact=False))
+    curve = engine.success_curve(p, m_max=args.mmax)
     emitters.emit(curve, "csv", args.out)
     print(f"wrote {args.out}")
     if args.svg:

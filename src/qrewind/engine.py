@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from . import analytics, qgate
-from .mat2 import as_mat2, branch_prob_invariant, is_contraction, is_unitary
+from .mat2 import as_mat2, branch_maps, branch_prob_invariant, is_contraction, is_unitary
 from .walk import LANES, chunks, sample_return_batch
 
 
@@ -90,21 +90,19 @@ class _CompiledProtocol:
     """Per-config precomputation shared by every run of a campaign.
 
     xh and yh are the unscaled branch maps x^ = (WV - VW)/2 and
-    y^ = (VW + WV)/2 of the scalar reference _run_compiled, which measures
-    both branch weights at every gate. branches stacks the same maps for
-    the lane kernel, so that psi @ branches holds x^ psi and y^ psi side by
-    side. In contraction mode they are unscaled and p is None. In unitary
-    mode (the fast path) x^dag x^ = p I and y^dag y^ = (1 - p) I, so the
-    vertical weight |x^ psi|^2 = p is the same for every unit state: p is
-    taken as ||x^||_F^2 / 2, and each map is divided by the square root of
-    its own ||.||_F^2 / 2, which makes both isometries. A map that is
-    exactly zero (p = 0 or p = 1) is never drawn and stays unscaled. The
-    entries of x^ and y^ carry an absolute error of about 1e-16 (rounding
-    in the inputs and the products), so the scaled maps miss an isometry by
+    y^ = (VW + WV)/2 of mat2.branch_maps, for the scalar reference
+    _run_compiled, which measures both branch weights at every gate.
+    branches stacks the same maps for the lane kernel, so that
+    psi @ branches holds x^ psi and y^ psi side by side. In contraction
+    mode they are unscaled and p is None. In unitary mode (the fast path)
+    p is mat2.branch_prob_invariant, the vertical weight |x^ psi|^2 of
+    every unit state, as curve --matrices and verify read it. x^ is divided
+    by sqrt(p) and y^ by sqrt(||y^||_F^2 / 2), its own weight 1 - p, which
+    makes both isometries. A map that is exactly zero (p = 0 or p = 1) is
+    never drawn and stays unscaled. The entries of x^ and y^ carry an
+    absolute error of about 1e-16, so the scaled maps miss an isometry by
     about 1e-16/sqrt(p) and 1e-16/sqrt(1 - p). Nothing renormalises the
     state; the final fidelity against W^{-s} psi0 certifies the run.
-    Scaling by branch_prob_invariant instead would miss by far more near
-    p = 0, where its trace cancels.
     """
 
     xh: tuple[complex, complex, complex, complex]   # (WV - VW)/2 entries
@@ -132,12 +130,12 @@ def _compile(cfg: ProtocolConfig) -> _CompiledProtocol:
                              "contraction mode")
         w_inv = np.eye(2, dtype=complex) if cfg.s == 0 else \
             np.array([[w[1, 1], -w[0, 1]], [-w[1, 0], w[0, 0]]], dtype=complex) / det
-    half_comm = (w @ v - v @ w) / 2.0   # vertical branch, sign per apply_q
-    half_anti = (v @ w + w @ v) / 2.0
+    half_comm, half_anti = branch_maps(v, w)
     branches = np.hstack([half_comm.T, half_anti.T])
     p = None
     if cfg.mode == "unitary":
-        p, q = (float(np.vdot(a, a).real) / 2.0 for a in (half_comm, half_anti))
+        p = branch_prob_invariant(v, w)
+        q = float(np.vdot(half_anti, half_anti).real) / 2.0
         for cols, weight in ((slice(0, 2), p), (slice(2, 4), q)):
             if weight > 0.0:
                 branches[:, cols] /= math.sqrt(weight)
@@ -153,10 +151,8 @@ def _compile(cfg: ProtocolConfig) -> _CompiledProtocol:
     )
 
 
-def _run_compiled(cp: _CompiledProtocol, rng: np.random.Generator,
-                  psi0: np.ndarray | None = None) -> RunRecord:
-    if psi0 is None:
-        psi0 = cp.psi0 if cp.psi0 is not None else qgate.random_state(rng)
+def _run_compiled(cp: _CompiledProtocol, rng: np.random.Generator) -> RunRecord:
+    psi0 = cp.psi0 if cp.psi0 is not None else qgate.random_state(rng)
     ref = cp.w_inv_pow @ psi0
     ref = ref / math.sqrt(np.vdot(ref, ref).real)
     ref0c, ref1c = complex(ref[0]).conjugate(), complex(ref[1]).conjugate()
@@ -222,12 +218,12 @@ def run_quantum_protocol(cfg: ProtocolConfig, rng: np.random.Generator,
     subsequent return to the lower origin is a success, with fidelity
     |<W^{-s} psi0 | psi_final>|^2 recorded. The run fails when the gate
     budget is exhausted (TrimFail) or an abort branch fires (contraction
-    mode only).
+    mode only). A psi0 given here replaces cfg.psi0 and is validated as
+    that field is.
     """
-    cfg.validate()
     if psi0 is not None:
-        psi0 = qgate.as_state(psi0)
-    return _run_compiled(_compile(cfg), rng, psi0)
+        cfg = replace(cfg, psi0=psi0)
+    return _run_compiled(_compile(cfg.validate()), rng)
 
 
 @dataclass
@@ -351,11 +347,10 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
                           where=(arrived & live)[:, None])
         n_abort = 0 if unitary else int(np.count_nonzero(alive & ~live))
         if n_done:
-            overlap = (ref * psi).sum(axis=1)
+            overlap = (ref[done] * psi[done]).sum(axis=1)
             fidelity = overlap.real ** 2 + overlap.imag ** 2
-            tally.fid_sum += float(fidelity.sum(where=done))
-            tally.fid_min = min(tally.fid_min,
-                                float(fidelity.min(where=done, initial=math.inf)))
+            tally.fid_sum += float(fidelity.sum())
+            tally.fid_min = min(tally.fid_min, float(fidelity.min()))
         tally.n_success += n_done
         tally.n_abort += n_abort
         if n_done or n_abort:
@@ -427,18 +422,12 @@ def monte_carlo(cfg: ProtocolConfig) -> Statistics:
     )
 
 
-def success_curve(p=None, v=None, w=None, m_max: int = 100) -> analytics.SuccessCurve:
+def success_curve(p: float, m_max: int = 100) -> analytics.SuccessCurve:
     """Cumulative success probabilities for budgets m = 1..m_max.
 
-    Give either p directly or a unitary pair (v, w), from which the
-    state-independent branch probability is computed.
+    p is the branch probability of the switch gate; for a unitary pair
+    (V, W) it is mat2.branch_prob_invariant(V, W).
     """
-    if (p is None) == (v is None):
-        raise ValueError("give exactly one of p or (v, w)")
-    if v is not None:
-        if w is None:
-            raise ValueError("v and w must be supplied together")
-        p = branch_prob_invariant(v, w)
     if m_max < 1:
         raise ValueError("m_max must be positive")
     fp_cum, ret_cum = analytics.cumulative_profile(float(p), m_max)

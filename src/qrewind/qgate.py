@@ -2,7 +2,8 @@
 
 Acting on a target state psi with two interfering flight paths, the gate
 splits the amplitude into a vertical branch (W V - V W) psi / 2 and a
-horizontal branch (V W + W V) psi / 2. Branches are kept unnormalized so
+horizontal branch (V W + W V) psi / 2; mat2.branch_maps forms both maps,
+for this module and for the engine. Branches are kept unnormalized so
 word-level proportionality survives; renormalization happens only when a
 branch is actually measured (sample_branch). apply_q and sample_branch are
 the gate-level reference: engine._run_compiled inlines the same branch choice
@@ -16,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .mat2 import as_mat2
+from .mat2 import branch_maps
 
 
 class BranchOutcome(Enum):
@@ -61,10 +62,8 @@ def apply_q(v, w, psi) -> QBranches:
     gamma_1 -> (right - up)/sqrt(2), gamma_2 -> (right + up)/sqrt(2); the
     overall sign never affects probabilities or proportionality checks.
     """
-    v, w = as_mat2(v), as_mat2(w)
+    half_comm, half_anti = branch_maps(v, w)
     psi = as_state(psi)
-    half_comm = (w @ v - v @ w) / 2.0
-    half_anti = (v @ w + w @ v) / 2.0
     return QBranches(vertical=half_comm @ psi, horizontal=half_anti @ psi)
 
 

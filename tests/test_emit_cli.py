@@ -8,7 +8,7 @@ from qrewind import analytics, cli, walk
 from qrewind import emitters as emit
 from qrewind.analytics import SuccessCurve, first_passage_dist
 from qrewind.engine import ProtocolConfig, monte_carlo
-from qrewind.mat2 import HADAMARD, SIGMA_Z
+from qrewind.mat2 import HADAMARD, SIGMA_Z, branch_prob_invariant, haar_unitary
 
 
 def test_hitting_dist_csv_rows(tmp_path):
@@ -142,6 +142,17 @@ def test_cli_curve_from_matrices(tmp_path):
     rows = out.read_text().splitlines()
     assert abs(float(rows[2].split(",")[2]) - 0.25) < 1e-12
 
+    # a pair's curve is the curve at its invariant p, byte for byte
+    rng = np.random.default_rng(8)
+    v, w = haar_unitary(rng), haar_unitary(rng)
+    cli.save_matrices(v, w, mats)
+    by_p = tmp_path / "by_p.csv"
+    assert cli.main(["curve", "--matrices", str(mats), "--mmax", "40",
+                     "--out", str(out)]) == 0
+    assert cli.main(["curve", "--p", repr(branch_prob_invariant(v, w)), "--mmax", "40",
+                     "--out", str(by_p)]) == 0
+    assert out.read_bytes() == by_p.read_bytes()
+
 
 def test_cli_simulate_deterministic(tmp_path):
     mats = tmp_path / "mats.json"
@@ -187,6 +198,12 @@ def test_cli_error_paths(tmp_path, capsys):
         assert cli.main(["curve", f"--p={p}", "--mmax", "4", "--out", str(out)]) == 2, p
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+    mats = tmp_path / "mats.json"
+    cli.save_matrices(0.5 * HADAMARD, SIGMA_Z, mats)  # not unitary: no invariant p
+    assert cli.main(["curve", "--matrices", str(mats), "--mmax", "4",
+                     "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
     for timing in (["--dt", "-1", "--tau", "0.5"], ["--dt", "nan", "--tau", "0.5"],
                    ["--dt", "1", "--tau", "inf"], ["--s", "-3"]):
         assert cli.main(["required-m", "--pmin", "0.5", "--q", "0.5", *timing]) == 2, timing
@@ -204,7 +221,6 @@ def test_cli_error_paths(tmp_path, capsys):
                      "--workers", workers, "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
-    mats = tmp_path / "mats.json"
     cli.save_matrices(HADAMARD, SIGMA_Z, mats)
     sim = tmp_path / "sim.json"
     assert cli.main(["simulate", "--matrices", str(mats), "--m", "4", "--runs", "10",

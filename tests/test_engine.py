@@ -6,7 +6,8 @@ import pytest
 from qrewind.analytics import cumulative_success, return_pmf
 from qrewind.engine import (LANES, ProtocolConfig, RunOutcome, _compile, _norm2,
                             monte_carlo, run_quantum_protocol, success_curve)
-from qrewind.mat2 import HADAMARD, SIGMA_X, SIGMA_Y, SIGMA_Z, haar_unitary
+from qrewind.mat2 import (HADAMARD, SIGMA_X, SIGMA_Y, SIGMA_Z, branch_prob_invariant,
+                          haar_unitary)
 from qrewind.qgate import random_state
 from qrewind.walk import run_walk_protocol
 
@@ -24,6 +25,9 @@ def test_config_validation():
         ProtocolConfig(p_override=1.5).validate()
     ProtocolConfig(v=0.5 * SIGMA_X, w=SIGMA_Z, mode="contraction").validate()
     ProtocolConfig(p_override=0.5).validate()
+    with pytest.raises(ValueError):  # a psi0 argument is checked as cfg.psi0 is
+        run_quantum_protocol(ProtocolConfig(v=HADAMARD, w=SIGMA_Z),
+                             np.random.default_rng(0), psi0=np.array([3.0, 0.0]))
 
 
 def test_pauli_pair_always_succeeds_immediately():
@@ -154,15 +158,6 @@ def test_success_curve_shapes():
                zip(curve.prob_full, curve.prob_commutator))
 
 
-def test_success_curve_from_matrices():
-    curve = success_curve(v=HADAMARD, w=SIGMA_Z, m_max=4)
-    assert curve.prob_full[1] == pytest.approx(0.25, abs=1e-12)
-    with pytest.raises(ValueError):
-        success_curve(p=0.5, v=HADAMARD, w=SIGMA_Z, m_max=4)
-    with pytest.raises(ValueError):
-        success_curve(v=0.5 * HADAMARD, w=SIGMA_Z, m_max=4)
-
-
 def test_curve_convergence_at_required_budget():
     from qrewind.analytics import required_m
     plan = required_m(0.5, 0.99)
@@ -193,6 +188,7 @@ def test_kernel_pauli_pair_always_succeeds_at_two():
     cfg = ProtocolConfig(v=SIGMA_X, w=SIGMA_Z, s=3, m=9, seed=1, runs=runs,
                          workers=2)
     assert _compile(cfg).p == 1.0  # fast path; the zero horizontal map stays unscaled
+    assert branch_prob_invariant(cfg.v, cfg.w) == _compile(cfg).p
     stats = monte_carlo(cfg)
     assert stats.n_success == runs
     assert stats.q_count_hist == {2: runs}
@@ -204,6 +200,7 @@ def test_kernel_commuting_pair_always_trim_fails():
     u = haar_unitary(np.random.default_rng(1))
     cfg = ProtocolConfig(v=u, w=u, m=16, seed=2, runs=700)
     assert _compile(cfg).p == 0.0  # fast path; the zero vertical map stays unscaled
+    assert branch_prob_invariant(cfg.v, cfg.w) == _compile(cfg).p
     stats = monte_carlo(cfg)
     assert stats.n_trim_fail == 700
     assert stats.q_count_hist == {16: 700}
@@ -377,6 +374,8 @@ def test_fast_path_maps_are_isometries(p_exact):
         v, w = _rotation_pair(theta, alpha, beta, rng)
         cp = _compile(ProtocolConfig(v=v, w=w, s=2, m=4).validate())
         assert cp.p == pytest.approx(p_exact, rel=1e-6)
+        assert branch_prob_invariant(v, w) == cp.p
+        assert branch_prob_invariant(v, w) == pytest.approx(p_exact, rel=1e-6)
         amps = psi @ cp.branches
         assert np.abs(_norm2(amps[:, :2]) - 1.0).max() <= 1e-9
         assert np.abs(_norm2(amps[:, 2:]) - 1.0).max() <= 1e-9
