@@ -144,39 +144,6 @@ def _sqrt_coeffs(c2: float):
         h4, h2 = h2, h
 
 
-def _sqrt_series(p: float, t_max: int) -> np.ndarray:
-    """Coefficients h_0..h_t_max of sqrt((1-a^2)(1-(2p-1)^2 a^2)).
-
-    Only even indices are nonzero; see _sqrt_coeffs for the recurrence.
-    """
-    c = 2.0 * p - 1.0
-    n_even = t_max // 2 + 1
-    h = np.zeros(t_max + 1)
-    h[::2] = np.fromiter(_sqrt_coeffs(c * c), float, count=n_even)
-    return h
-
-
-def _as_float_prob(p) -> float:
-    p = float(p)
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
-    return min(max(p, 0.0), 1.0)  # forgive accumulated grid roundoff
-
-
-def first_passage_profile(p: float, t_max: int) -> np.ndarray:
-    """Float pmf values P(T1 = t) for t = 1..t_max (index 0 unused)."""
-    p = _as_float_prob(p)
-    out = np.zeros(t_max + 1)
-    if p == 0.0 or t_max < 1:
-        return out
-    c = 2.0 * p - 1.0
-    h = _sqrt_series(p, t_max + 1)
-    out[1] = (c - h[2]) / (2.0 * p)
-    for t in range(3, t_max + 1, 2):
-        out[t] = -h[t + 1] / (2.0 * p)
-    return out
-
-
 def _reject_underflowing_square(p: float):
     # The return pmf divides by 2 p^2. Below the smallest normal float that
     # denominator loses precision and then flushes to 0 (nan pmf values).
@@ -185,29 +152,50 @@ def _reject_underflowing_square(p: float):
                          "2 p^2 falls below the smallest normal float")
 
 
-def return_profile(p: float, t_max: int) -> np.ndarray:
-    """Float pmf values P(T1 + T2 = t) for t = 1..t_max (index 0 unused).
+def _hitting_profiles(p, t_max: int) -> np.ndarray:
+    """Float pmf rows P(T1 = t) and P(T1 + T2 = t) for t = 0..t_max (t = 0 unused).
 
-    ValueError for 0 < p below about 1e-154, where 2 p^2 underflows.
+    One pass of _sqrt_coeffs gives h_0..h_{t_max+2}; with c = 2p - 1,
+        P(T1 = 1) = (c - h_2) / 2p,  P(T1 = t) = -h_{t+1} / 2p  (odd t >= 3),
+        P(T1 + T2 = 2) = (c^2 - h_4 - c h_2) / 2p^2,
+        P(T1 + T2 = t) = -(h_{t+2} + c h_t) / 2p^2  (even t >= 4),
+    each negation taken as 0 - x, so a zero coefficient gives +0. ValueError
+    for p outside [0, 1] (1e-12 of grid roundoff is forgiven) and for
+    0 < p below about 1e-154, where 2 p^2 underflows.
     """
-    p = _as_float_prob(p)
+    p = float(p)
+    if not -1e-12 <= p <= 1.0 + 1e-12:
+        raise ValueError(f"probability must lie in [0, 1], got {p}")
+    p = min(max(p, 0.0), 1.0)
     _reject_underflowing_square(p)
-    out = np.zeros(t_max + 1)
-    if p == 0.0 or t_max < 2:
+    out = np.zeros((2, t_max + 1))
+    if p == 0.0 or t_max < 1:
         return out
     c = 2.0 * p - 1.0
-    h = _sqrt_series(p, t_max + 2)
-    denom = 2.0 * p * p
-    out[2] = (c * c - h[4] - c * h[2]) / denom
-    for t in range(4, t_max + 1, 2):
-        out[t] = -(h[t + 2] + c * h[t]) / denom
+    h = np.fromiter(_sqrt_coeffs(c * c), float, count=t_max // 2 + 2)  # h_{2k} at k
+    fp, ret = out
+    fp[1] = (c - h[1]) / (2.0 * p)
+    fp[3::2] = (0.0 - h[2:(t_max + 1) // 2 + 1]) / (2.0 * p)
+    if t_max >= 2:
+        denom = 2.0 * p * p
+        ret[2] = (c * c - h[2] - c * h[1]) / denom
+        ret[4::2] = (0.0 - (h[3:] + c * h[2:-1])) / denom
     return out
+
+
+def first_passage_profile(p: float, t_max: int) -> np.ndarray:
+    """Float pmf values P(T1 = t) for t = 1..t_max (index 0 unused)."""
+    return _hitting_profiles(p, t_max)[0]
+
+
+def return_profile(p: float, t_max: int) -> np.ndarray:
+    """Float pmf values P(T1 + T2 = t) for t = 1..t_max (index 0 unused)."""
+    return _hitting_profiles(p, t_max)[1]
 
 
 def cumulative_profile(p: float, t_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(cumulative first-passage, cumulative return) for budgets 0..t_max."""
-    return (np.cumsum(first_passage_profile(p, t_max)),
-            np.cumsum(return_profile(p, t_max)))
+    return tuple(np.cumsum(_hitting_profiles(p, t_max), axis=1))
 
 
 def cumulative_success(p, m: int, mode: str = "full"):
@@ -298,6 +286,9 @@ def required_m(p_min, q, dt: float | None = None, tau: float | None = None,
     oracle). When both timing constants are given, the running-time bound
     T' = m (dt + tau) + s dt is reported too. ValueError when no even
     budget up to m_cap reaches q.
+
+    The running sum streams _hitting_profiles' return row in its operation
+    order, stopping at the first budget that reaches q in O(1) memory.
     """
     p_min = float(p_min)
     q = float(q)
@@ -372,8 +363,8 @@ def first_passage_dist(p, t_max: int) -> HittingDist:
         q = _as_exact(p)
         return HittingDist([_first_passage_exact(q, t) for t in range(1, t_max + 1)],
                            backing="rational")
-    profile = first_passage_profile(float(p), t_max)
-    return HittingDist([float(v) for v in profile[1:]], backing="float")
+    return HittingDist(first_passage_profile(float(p), t_max)[1:].tolist(),
+                       backing="float")
 
 
 @dataclass

@@ -433,6 +433,6 @@ def success_curve(p: float, m_max: int = 100) -> analytics.SuccessCurve:
     fp_cum, ret_cum = analytics.cumulative_profile(float(p), m_max)
     return analytics.SuccessCurve(
         m=list(range(1, m_max + 1)),
-        prob_commutator=[float(x) for x in fp_cum[1:]],
-        prob_full=[float(x) for x in ret_cum[1:]],
+        prob_commutator=fp_cum[1:].tolist(),
+        prob_full=ret_cum[1:].tolist(),
     )

@@ -24,6 +24,8 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 # tests; keeps the both-zero branch well defined.
 NORM_FLOOR = 1e-14
 DEFAULT_TOL = 1e-9
+# Slack of the input checks: unitary, contraction and unit-norm state.
+INPUT_TOL = 1e-10
 
 
 def as_mat2(m) -> np.ndarray:
@@ -52,14 +54,14 @@ def operator_norm(a: np.ndarray) -> float:
     return math.sqrt(max(0.5 * (g00 + g11 + disc), 0.0))
 
 
-def is_unitary(a, tol: float = 1e-10) -> bool:
+def is_unitary(a) -> bool:
     a = as_mat2(a)
-    return frobenius_norm(a.conj().T @ a - IDENTITY) <= tol
+    return frobenius_norm(a.conj().T @ a - IDENTITY) <= INPUT_TOL
 
 
-def is_contraction(a, tol: float = 1e-10) -> bool:
-    """Operator norm at most 1 + tol (the abort bound is an operator-norm statement)."""
-    return operator_norm(as_mat2(a)) <= 1.0 + tol
+def is_contraction(a) -> bool:
+    """Operator norm at most 1 + INPUT_TOL (the abort bound is an operator-norm bound)."""
+    return operator_norm(as_mat2(a)) <= 1.0 + INPUT_TOL
 
 
 def commutator(a, b) -> np.ndarray:
@@ -226,7 +228,7 @@ def branch_maps(v, w) -> tuple[np.ndarray, np.ndarray]:
     return (wv - vw) / 2.0, (vw + wv) / 2.0
 
 
-def branch_prob_invariant(v, w, tol: float = 1e-10) -> float:
+def branch_prob_invariant(v, w) -> float:
     """State-independent vertical-port probability for unitary V, W.
 
     p = min(||x^||_F^2 / 2, 1) with x^ from branch_maps. Since x^dag x^ = p I
@@ -237,14 +239,14 @@ def branch_prob_invariant(v, w, tol: float = 1e-10) -> float:
     over 200 rotation pairs of exact p the worst was 2.4e-13 at p = 1e-6
     and 3.1e-10 at p = 1e-12.
     """
-    if not (is_unitary(v, tol) and is_unitary(w, tol)):
+    if not (is_unitary(v) and is_unitary(w)):
         raise ValueError("branch_prob_invariant requires unitary inputs; "
                          "use branch_prob_state for contractions")
     xh, _ = branch_maps(v, w)
     return min(float(np.vdot(xh, xh).real) / 2.0, 1.0)
 
 
-def branch_prob_state(v, w, psi, tol: float = 1e-10) -> tuple[float, float, float]:
+def branch_prob_state(v, w, psi) -> tuple[float, float, float]:
     """Per-state branch probabilities (vertical, horizontal, abort).
 
     Valid for contraction V, W: the two branch weights then sum to at most 1
@@ -254,9 +256,9 @@ def branch_prob_state(v, w, psi, tol: float = 1e-10) -> tuple[float, float, floa
     v, w = as_mat2(v), as_mat2(w)
     psi = np.asarray(psi, dtype=complex).reshape(2)
     nrm = math.sqrt(np.vdot(psi, psi).real)
-    if abs(nrm - 1.0) > tol:
+    if abs(nrm - 1.0) > INPUT_TOL:
         raise ValueError("state must be normalised")
-    if not (is_contraction(v, tol) and is_contraction(w, tol)):
+    if not (is_contraction(v) and is_contraction(w)):
         raise ValueError("branch probabilities need contraction inputs "
                          "(operator norm <= 1)")
     x_psi = v @ (w @ psi) - w @ (v @ psi)

@@ -19,6 +19,8 @@ import numpy as np
 
 from .mat2 import branch_maps
 
+WEIGHT_SUM_TOL = 1e-9  # slack on the branch weights' sum for contraction inputs
+
 
 class BranchOutcome(Enum):
     VERTICAL = "vertical"
@@ -67,8 +69,8 @@ def apply_q(v, w, psi) -> QBranches:
     return QBranches(vertical=half_comm @ psi, horizontal=half_anti @ psi)
 
 
-def sample_branch(branches: QBranches, rng: np.random.Generator,
-                  tol: float = 1e-9) -> tuple[BranchOutcome, np.ndarray | None]:
+def sample_branch(branches: QBranches,
+                  rng: np.random.Generator) -> tuple[BranchOutcome, np.ndarray | None]:
     """Measure the motion degree of freedom.
 
     Vertical with probability |vert|^2, horizontal with |horiz|^2, abort
@@ -77,7 +79,7 @@ def sample_branch(branches: QBranches, rng: np.random.Generator,
     """
     p_vert, p_horiz = branches.probabilities()
     total = p_vert + p_horiz
-    if total > 1.0 + tol:
+    if total > 1.0 + WEIGHT_SUM_TOL:
         raise ValueError(f"branch probabilities sum to {total}; "
                          "inputs are not contractions")
     u = rng.random()

@@ -241,6 +241,8 @@ def run_walk_protocol(p: float, m: int, rng: np.random.Generator) -> TrimmedOutc
     if m < 2:
         raise ValueError("gate budget must be at least 2")
     p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("probability must lie in [0, 1]")
     steps = 0
     row, pos = 0, 0
     phase1 = None

@@ -201,9 +201,20 @@ def test_required_m_definitional():
     for p in (1e-300, 1e-160):  # 2 p^2 underflows: nan rows, or a divide by 0
         with pytest.raises(ValueError, match="too small"):
             required_m(p, 0.5)
-        with pytest.raises(ValueError, match="too small"):
-            return_profile(p, 6)
+        for profile in (first_passage_profile, return_profile, cumulative_profile):
+            with pytest.raises(ValueError, match="too small"):
+                profile(p, 6)
     assert np.all(np.isfinite(return_profile(1e-150, 6)))
+
+
+@pytest.mark.parametrize("p_min", [0.005, 0.016, 0.05, 0.25, 0.5, 0.9, 1.0, 4e-4, 1e-3])
+def test_required_m_is_the_streamed_profile(p_min):
+    # the streaming sum and the vectorised return row must not drift apart
+    for q in (0.05, 0.5, 0.9, 0.95):
+        plan = required_m(p_min, q)
+        ret_cum = cumulative_profile(p_min, plan.m)[1]
+        assert plan.worst_grid_prob == ret_cum[plan.m]
+        assert ret_cum[plan.m - 2] < q
 
 
 def _grid_required_m(p_min, q, dt: float | None = None, tau: float | None = None,

@@ -90,15 +90,18 @@ def test_cli_verify_passes():
                      "--tol", "1e-9"]) == 0
 
 
-def test_cli_dist_methods_agree(tmp_path):
+@pytest.mark.parametrize("p", ["0.5", "1"])
+def test_cli_dist_methods_agree(tmp_path, p):
     out_theorem = tmp_path / "t.csv"
     out_dp = tmp_path / "d.csv"
-    assert cli.main(["dist", "--p", "0.5", "--tmax", "21",
+    assert cli.main(["dist", "--p", p, "--tmax", "21",
                      "--method", "theorem", "--out", str(out_theorem)]) == 0
-    assert cli.main(["dist", "--p", "0.5", "--tmax", "21",
+    assert cli.main(["dist", "--p", p, "--tmax", "21",
                      "--method", "dp", "--out", str(out_dp)]) == 0
     rows_t = out_theorem.read_text().splitlines()[1:]
     rows_d = out_dp.read_text().splitlines()[1:]
+    if p == "1":  # every pmf value is exact, and zeros print as 0, not -0
+        assert rows_t == rows_d
     for a, b in zip(rows_t, rows_d):
         ta, va = a.split(",")
         tb, vb = b.split(",")
@@ -198,6 +201,11 @@ def test_cli_error_paths(tmp_path, capsys):
         assert cli.main(["curve", f"--p={p}", "--mmax", "4", "--out", str(out)]) == 2, p
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+    # 2 p^2 underflows, which the float theorem route rejects for both profiles
+    assert cli.main(["dist", "--p=1e-200", "--tmax", "5", "--method", "theorem",
+                     "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
     mats = tmp_path / "mats.json"
     cli.save_matrices(0.5 * HADAMARD, SIGMA_Z, mats)  # not unitary: no invariant p
     assert cli.main(["curve", "--matrices", str(mats), "--mmax", "4",

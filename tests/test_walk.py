@@ -29,6 +29,8 @@ def test_sample_first_passage_edges():
 def test_batch_sampler_rejects_bad_probability(p):
     with pytest.raises(ValueError):
         sample_first_passage_batch(p, runs=10, cap=5, seed=0)
+    with pytest.raises(ValueError):
+        run_walk_protocol(p, 10, np.random.default_rng(0))
 
 
 def test_sample_first_passage_statistics():
