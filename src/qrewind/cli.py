@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import analytics, emitters, engine, walk
+from . import analytics, emitters, engine, mat2, walk
 from .mat2 import (as_mat2, branch_prob_invariant, branch_prob_state, ginibre,
                    haar_unitary, shared_eigenvector_pair, verify_word_identities)
 from .qgate import random_state
@@ -77,17 +78,19 @@ def _cmd_verify(args) -> int:
         "ginibre": lambda: (ginibre(rng), ginibre(rng)),
         "shared-eigenvector": lambda: shared_eigenvector_pair(rng),
     }
+    per_call = mat2.stack_rows(args.smax, args.nmax)
     failures = 0
     for name, sampler in families.items():
         worst = 0.0
         family_failures = 0
-        for _ in range(args.trials):
-            v, w = sampler()
-            report = verify_word_identities(v, w, s_max=args.smax,
-                                            n_max=args.nmax, tol=args.tol)
-            if not report.all_passed:
-                family_failures += 1
-            worst = max(worst, max(report.trace_residuals))
+        for start in range(0, args.trials, per_call):
+            pairs = [sampler() for _ in range(min(per_call, args.trials - start))]
+            report = verify_word_identities(np.array([v for v, _ in pairs]),
+                                            np.array([w for _, w in pairs]),
+                                            s_max=args.smax, n_max=args.nmax,
+                                            tol=args.tol)
+            family_failures += int(np.count_nonzero(~report.all_passed))
+            worst = max(worst, float(report.trace_residuals.max()))
         failures += family_failures
         print(f"identities[{name}]: {args.trials} instances, "
               f"failures={family_failures}, worst trace residual={worst:.3e}")
@@ -173,7 +176,9 @@ def _cmd_required_m(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="qrewind",
         description="Simulator and analytics for the adaptive qubit-rewinding protocol")

@@ -1,16 +1,17 @@
 """Complex 2x2 matrix algebra: commutators, samplers, and word-identity checks.
 
-Everything here is plain numpy on (2, 2) complex arrays. The module provides
-the algebraic identities the rewinding protocol rests on (the commutator
-square, the rewind sandwich x W^s x, the y^n x y^n reduction and the trace
-orthogonality tr(x y^n) = 0) together with quantitative proportionality
-checks, Haar/Ginibre samplers for test instances, and the branch maps and
-branch-probability invariant of the switch gate.
+Everything here is plain numpy on (2, 2) complex arrays, or on stacks
+(N, 2, 2) of them. The module provides the algebraic identities the
+rewinding protocol rests on (the commutator square, the rewind sandwich
+x W^s x, the y^n x y^n reduction and the trace orthogonality tr(x y^n) = 0)
+together with quantitative proportionality checks, Haar/Ginibre samplers
+for test instances, and the branch maps and branch-probability invariant of
+the switch gate.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +27,10 @@ NORM_FLOOR = 1e-14
 DEFAULT_TOL = 1e-9
 # Slack of the input checks: unitary, contraction and unit-norm state.
 INPUT_TOL = 1e-10
+# Most 2x2 words one verify_word_identities call should stack; `verify`
+# passes its instances in stacks of stack_rows(s_max, n_max), so its memory
+# grows neither with --trials nor with --smax or --nmax.
+WORD_CHUNK = 4096
 
 
 def as_mat2(m) -> np.ndarray:
@@ -38,8 +43,10 @@ def as_mat2(m) -> np.ndarray:
     return a
 
 
-def frobenius_norm(a: np.ndarray) -> float:
-    return math.sqrt(np.vdot(a, a).real)
+def frobenius_norm(a: np.ndarray):
+    """Frobenius norm of a 2x2 matrix, or of each matrix of a (..., 2, 2) stack."""
+    a4 = a.reshape(*a.shape[:-2], 4)
+    return np.sqrt(np.vecdot(a4, a4).real)
 
 
 def operator_norm(a: np.ndarray) -> float:
@@ -76,17 +83,25 @@ def anticommutator(a, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProportionalityReport:
-    """Outcome of a least-squares proportionality test A = scalar * B."""
+    """Outcome of least-squares proportionality tests A = scalar * B.
 
-    scalar: complex
-    residual: float
-    both_zero: bool
-    verdict: bool
+    Each field holds one entry per tested pair: numpy scalars for a single
+    pair, arrays shaped like the leading axes of a stack otherwise.
+    """
+
+    scalar: np.ndarray
+    residual: np.ndarray
+    both_zero: np.ndarray
+    verdict: np.ndarray
+
+    def __getitem__(self, idx) -> ProportionalityReport:
+        return ProportionalityReport(self.scalar[idx], self.residual[idx],
+                                     self.both_zero[idx], self.verdict[idx])
 
 
-def check_proportional(a, b, tol: float = DEFAULT_TOL,
-                       floor: float = NORM_FLOOR) -> ProportionalityReport:
-    """Quantitative test whether A is proportional to B.
+def _proportional(a: np.ndarray, b: np.ndarray, tol: float,
+                  floor: float = NORM_FLOOR) -> ProportionalityReport:
+    """Stacked proportionality test of a[i] against b[i], stacks (..., 2, 2).
 
     The scalar is the Hilbert-Schmidt least-squares fit <B,A>/<B,B>; the
     verdict holds when the fit residual is below tol * max(|A|, |B|, floor).
@@ -94,18 +109,27 @@ def check_proportional(a, b, tol: float = DEFAULT_TOL,
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
-    a, b = as_mat2(a), as_mat2(b)
-    a_norm = frobenius_norm(a)
-    b_norm = frobenius_norm(b)
-    scale = max(a_norm, b_norm, floor)
-    if b_norm <= floor:
-        both_zero = a_norm <= floor
-        return ProportionalityReport(scalar=0j, residual=a_norm,
-                                     both_zero=both_zero, verdict=both_zero)
-    scalar = complex(np.vdot(b, a) / np.vdot(b, b))
-    residual = frobenius_norm(a - scalar * b)
-    return ProportionalityReport(scalar=scalar, residual=residual,
-                                 both_zero=False, verdict=residual <= tol * scale)
+    lead = a.shape[:-2]
+    a4, b4 = a.reshape(*lead, 4), b.reshape(*lead, 4)
+    a_norm = np.sqrt(np.vecdot(a4, a4).real)
+    bb = np.vecdot(b4, b4)
+    b_norm = np.sqrt(bb.real)
+    b_zero = b_norm <= floor
+    # zero-B rows divide by 1 and fit 0, so their residual is |A|
+    scalar = np.where(b_zero, 0j, np.vecdot(b4, a4) / np.where(b_zero, 1.0, bb))
+    diff = a4 - scalar[..., None] * b4
+    residual = np.sqrt(np.vecdot(diff, diff).real)
+    both_zero = b_zero & (a_norm <= floor)
+    scale = np.maximum(np.maximum(a_norm, b_norm), floor)
+    verdict = np.where(b_zero, both_zero, residual <= tol * scale)
+    return ProportionalityReport(scalar, residual, both_zero, verdict)
+
+
+def check_proportional(a, b, tol: float = DEFAULT_TOL,
+                       floor: float = NORM_FLOOR) -> ProportionalityReport:
+    """Quantitative test whether A is proportional to B: the N = 1 view of
+    the stacked test that verify_word_identities runs."""
+    return _proportional(as_mat2(a)[None], as_mat2(b)[None], tol, floor)[0]
 
 
 # ── Samplers ─────────────────────────────────────────────────────────────
@@ -150,38 +174,69 @@ def shared_eigenvector_pair(rng: np.random.Generator) -> tuple[np.ndarray, np.nd
 
 @dataclass
 class WordIdentityReport:
-    """Per-identity proportionality reports for one (V, W) instance.
+    """Proportionality reports for one (V, W) instance, or for each of a stack.
 
     square:   [V,W]^2 proportional to the identity.
     rewind:   [V,W] W^s [V,W] proportional to W^{-s}, s = 1..s_max
-              (skipped when W is singular; see w_singular).
+              (placeholder entries where W is singular; see w_singular).
     sandwich: {V,W}^n [V,W] {V,W}^n proportional to [V,W], n = 0..n_max.
     trace_residuals: normalised |tr([V,W] {V,W}^n)|, n = 0..n_max.
+
+    For a stack every field gains a leading instance axis; indexing the
+    report with i gives instance i's report.
     """
 
     square: ProportionalityReport
-    rewind: list[ProportionalityReport] = field(default_factory=list)
-    sandwich: list[ProportionalityReport] = field(default_factory=list)
-    trace_residuals: list[float] = field(default_factory=list)
-    w_singular: bool = False
+    rewind: ProportionalityReport
+    sandwich: ProportionalityReport
+    trace_residuals: np.ndarray
+    w_singular: np.ndarray
     tol: float = DEFAULT_TOL
 
+    def __getitem__(self, idx) -> WordIdentityReport:
+        return WordIdentityReport(self.square[idx], self.rewind[idx], self.sandwich[idx],
+                                  self.trace_residuals[idx], self.w_singular[idx], self.tol)
+
     @property
-    def all_passed(self) -> bool:
+    def all_passed(self):
+        """Every check of the instance held (one flag per instance of a stack)."""
         return (self.square.verdict
-                and all(r.verdict for r in self.rewind)
-                and all(r.verdict for r in self.sandwich)
-                and all(r <= self.tol for r in self.trace_residuals))
+                & (self.rewind.verdict.all(axis=-1) | self.w_singular)
+                & self.sandwich.verdict.all(axis=-1)
+                & (self.trace_residuals <= self.tol).all(axis=-1))
 
 
 def _unit_scale(a: np.ndarray) -> np.ndarray:
+    """Each matrix of the stack over its Frobenius norm; norms below NORM_FLOOR stay."""
     nrm = frobenius_norm(a)
-    return a if nrm <= NORM_FLOOR else a / nrm
+    return a / np.where(nrm <= NORM_FLOOR, 1.0, nrm)[..., None, None]
+
+
+def _as_stack(m) -> np.ndarray:
+    """Coerce a 2x2 matrix or an (N, 2, 2) stack to a finite complex stack."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim not in (2, 3) or a.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix or an (N, 2, 2) stack, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return a.reshape(-1, 2, 2)
+
+
+def stack_rows(s_max: int, n_max: int) -> int:
+    """Instances per verify_word_identities call that fit in WORD_CHUNK words."""
+    return max(1, WORD_CHUNK // (2 + s_max + n_max))
 
 
 def verify_word_identities(v, w, s_max: int = 8, n_max: int = 6,
                            tol: float = DEFAULT_TOL) -> WordIdentityReport:
     """Check the three word-reduction identities plus trace orthogonality.
+
+    v and w are one pair of 2x2 matrices, or stacks (N, 2, 2) of pairs; a
+    single pair is the N = 1 call and gets the report of its one row. Each
+    instance forms 2 + s_max + n_max words by numerical products (x^2,
+    x W^s x, y^n x y^n) next to their reference words (I, W^{-s}, x), and
+    one stacked proportionality test checks them all. Stack at most
+    WORD_CHUNK words per call (see stack_rows) to bound memory.
 
     All checks hold for arbitrary 2x2 inputs (the rewind sandwich needs
     invertible W); a failing verdict therefore signals an implementation
@@ -189,34 +244,54 @@ def verify_word_identities(v, w, s_max: int = 8, n_max: int = 6,
     invariant, x, y and W are normalised to unit Frobenius norm first:
     the sandwich y^n x y^n equals det(y)^n x, which for skewed spectra is
     exponentially smaller than its operands, and only the normalised form
-    keeps the roundoff below the verdict scale.
+    keeps the roundoff below the verdict scale. For the same reason W^s and
+    W^{-s} are rescaled to unit norm after every factor, which keeps them
+    finite at any s_max. Rows with singular W compute their rewind words
+    with the identity in place of W, and all_passed ignores them.
     """
-    v, w = as_mat2(v), as_mat2(w)
-    x = _unit_scale(v @ w - w @ v)
-    y = _unit_scale(v @ w + w @ v)
+    single = np.ndim(v) == 2
+    v, w = _as_stack(v), _as_stack(w)
+    if v.shape != w.shape:
+        raise ValueError(f"V and W stacks differ in shape: {v.shape} vs {w.shape}")
+    n, k = len(v), 2 + s_max + n_max
+    vw, wv = v @ w, w @ v
+    x = _unit_scale(vw - wv)
+    y = _unit_scale(vw + wv)
+    det = np.linalg.det(w)
+    w_singular = np.hypot(det.real, det.imag) <= tol
+    w_hat = np.where(w_singular[:, None, None], IDENTITY, _unit_scale(w))
 
-    report = WordIdentityReport(square=check_proportional(x @ x, IDENTITY, tol), tol=tol)
+    # the products a[:, i] and their reference words b[:, i], K per instance
+    a = np.empty((n, k, 2, 2), dtype=complex)
+    b = np.empty_like(a)
+    a[:, 0] = x @ x
+    b[:, 0] = IDENTITY
+    # W^s and W^{-s} side by side, so each step is one product and one rescale
+    step = np.stack((w_hat, np.linalg.inv(w_hat)), axis=1)
+    pows = np.empty((n, s_max, 2, 2, 2), dtype=complex)
+    cur = IDENTITY
+    for s in range(s_max):
+        cur = _unit_scale(cur @ step)
+        pows[:, s] = cur
+    xs = x[:, None]
+    a[:, 1:1 + s_max] = xs @ pows[:, :, 0] @ xs
+    b[:, 1:1 + s_max] = pows[:, :, 1]
+    y_pow = np.empty((n, n_max + 1, 2, 2), dtype=complex)
+    y_pow[:, 0] = IDENTITY
+    for j in range(n_max):
+        y_pow[:, j + 1] = y_pow[:, j] @ y
+    a[:, 1 + s_max:] = y_pow @ xs @ y_pow
+    b[:, 1 + s_max:] = xs
+    checks = _proportional(a, b, tol)
 
-    if abs(np.linalg.det(w)) <= tol:
-        report.w_singular = True
-    else:
-        w_hat = _unit_scale(w)
-        w_inv = np.linalg.inv(w_hat)
-        w_pow = IDENTITY.copy()
-        w_inv_pow = IDENTITY.copy()
-        for _ in range(1, s_max + 1):
-            w_pow = w_pow @ w_hat
-            w_inv_pow = w_inv_pow @ w_inv
-            report.rewind.append(check_proportional(x @ w_pow @ x, w_inv_pow, tol))
-
-    x_norm = frobenius_norm(x)
-    y_pow = IDENTITY.copy()
-    for _ in range(0, n_max + 1):
-        report.sandwich.append(check_proportional(y_pow @ x @ y_pow, x, tol))
-        trace_scale = max(x_norm * frobenius_norm(y_pow), NORM_FLOOR)
-        report.trace_residuals.append(abs(np.trace(x @ y_pow)) / trace_scale)
-        y_pow = y_pow @ y
-    return report
+    xy = xs @ y_pow
+    t = xy[..., 0, 0] + xy[..., 1, 1]
+    scale = np.maximum(frobenius_norm(x)[:, None] * frobenius_norm(y_pow), NORM_FLOOR)
+    report = WordIdentityReport(
+        square=checks[:, 0], rewind=checks[:, 1:1 + s_max],
+        sandwich=checks[:, 1 + s_max:], trace_residuals=np.hypot(t.real, t.imag) / scale,
+        w_singular=w_singular, tol=tol)
+    return report[0] if single else report
 
 
 # ── Branch probabilities of the switch gate ──────────────────────────────

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qrewind import analytics, cli, walk
+from qrewind import analytics, cli, mat2, walk
 from qrewind import emitters as emit
 from qrewind.analytics import SuccessCurve, first_passage_dist
 from qrewind.engine import ProtocolConfig, monte_carlo
@@ -88,6 +88,52 @@ def test_matrices_roundtrip(tmp_path):
 def test_cli_verify_passes():
     assert cli.main(["verify", "--trials", "40", "--seed", "3",
                      "--tol", "1e-9"]) == 0
+
+
+VERIFY_PINNED = {
+    ("--trials", "10", "--seed", "3"): (
+        "identities[haar]: 10 instances, failures=0, worst trace residual=5.680e-16\n"
+        "identities[ginibre]: 10 instances, failures=0, worst trace residual=2.414e-16\n"
+        "identities[shared-eigenvector]: 10 instances, failures=0, "
+        "worst trace residual=2.724e-16\n"
+        "branch-probability invariance: worst deviation=4.441e-16 ok\n"
+        "verify: PASS\n"),
+    ("--trials", "25", "--seed", "11", "--smax", "0", "--nmax", "0"): (
+        "identities[haar]: 25 instances, failures=0, worst trace residual=1.570e-16\n"
+        "identities[ginibre]: 25 instances, failures=0, worst trace residual=1.665e-16\n"
+        "identities[shared-eigenvector]: 25 instances, failures=0, "
+        "worst trace residual=9.058e-16\n"
+        "branch-probability invariance: worst deviation=1.055e-15 ok\n"
+        "verify: PASS\n"),
+}
+
+
+@pytest.mark.parametrize("flags", list(VERIFY_PINNED))
+def test_cli_verify_pinned_output(capsys, flags):
+    assert cli.main(["verify", *flags]) == 0
+    assert capsys.readouterr().out == VERIFY_PINNED[flags]
+
+
+def test_cli_verify_output_independent_of_chunk(capsys, monkeypatch):
+    assert cli.main(["verify", "--trials", "10"]) == 0
+    default = capsys.readouterr().out
+    monkeypatch.setattr(mat2, "WORD_CHUNK", 3)
+    assert mat2.stack_rows(8, 6) == 1
+    assert cli.main(["verify", "--trials", "10"]) == 0
+    assert capsys.readouterr().out == default
+
+
+def test_cli_verify_large_smax_passes(capsys):
+    assert cli.main(["verify", "--trials", "20", "--smax", "200"]) == 0
+    assert capsys.readouterr().out.endswith("verify: PASS\n")
+
+
+def test_cli_parser_survives_an_argparse_exit(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--trials"])
+    capsys.readouterr()
+    assert cli.main(["verify", "--trials", "10", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == VERIFY_PINNED[("--trials", "10", "--seed", "3")]
 
 
 @pytest.mark.parametrize("p", ["0.5", "1"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qrewind import mat2
 from qrewind.mat2 import (HADAMARD, IDENTITY, SIGMA_X, SIGMA_Z, anticommutator,
                           branch_prob_invariant, branch_prob_state,
                           check_proportional, commutator, frobenius_norm,
@@ -127,6 +128,76 @@ def test_word_identities_random_instances(family):
             v, w = shared_eigenvector_pair(rng)
         rep = verify_word_identities(v, w)
         assert rep.all_passed, (family, rep)
+
+
+def _family_stack(family, rng, n):
+    if family == "haar":
+        pairs = [(haar_unitary(rng), haar_unitary(rng)) for _ in range(n)]
+    elif family == "ginibre":
+        pairs = [(ginibre(rng), ginibre(rng)) for _ in range(n)]
+    elif family == "shared":
+        pairs = [shared_eigenvector_pair(rng) for _ in range(n)]
+    else:  # singular W (zero and rank 1), commuting (x = 0), anticommuting (y = 0)
+        v = ginibre(rng)
+        pairs = [(ginibre(rng), ginibre(rng)), (v, np.zeros((2, 2))),
+                 (ginibre(rng), np.outer([1, 2j], [3, -1])), (v, v),
+                 (SIGMA_X, SIGMA_Z), (haar_unitary(rng), haar_unitary(rng))]
+    return pairs
+
+
+@pytest.mark.parametrize("s_max,n_max", [(8, 6), (0, 6), (8, 0), (0, 0), (3, 2)])
+@pytest.mark.parametrize("family", ["haar", "ginibre", "shared", "mixed"])
+def test_word_identity_stack_equals_single_calls(family, s_max, n_max):
+    pairs = _family_stack(family, np.random.default_rng(21), 40)
+    v = np.array([a for a, _ in pairs])
+    w = np.array([b for _, b in pairs], dtype=complex)
+    stack = verify_word_identities(v, w, s_max=s_max, n_max=n_max)
+    assert stack.all_passed.shape == (len(pairs),) and stack.all_passed.all()
+    assert stack.rewind.verdict.shape == (len(pairs), s_max)
+    assert stack.trace_residuals.shape == (len(pairs), n_max + 1)
+    for i, (a, b) in enumerate(pairs):
+        single = verify_word_identities(a, b, s_max=s_max, n_max=n_max)
+        row = stack[i]
+        assert single.w_singular == row.w_singular
+        assert single.all_passed == row.all_passed
+        np.testing.assert_array_equal(single.trace_residuals, row.trace_residuals)
+        for part in ("square", "rewind", "sandwich"):
+            for name in ("scalar", "residual", "both_zero", "verdict"):
+                np.testing.assert_array_equal(getattr(getattr(single, part), name),
+                                              getattr(getattr(row, part), name))
+    if family == "mixed":
+        assert stack.w_singular.tolist() == [False, True, True, False, False, False]
+        assert stack.sandwich.both_zero[3].all()
+
+
+def test_check_proportional_is_a_stack_row():
+    rng = np.random.default_rng(22)
+    a = np.array([ginibre(rng) for _ in range(5)] + [np.zeros((2, 2))])
+    b = np.array([2j * a[0], ginibre(rng), np.zeros((2, 2)), IDENTITY, a[4], a[5]])
+    stacked = mat2._proportional(a, b, mat2.DEFAULT_TOL)
+    assert stacked.verdict.tolist() == [True, False, False, False, True, True]
+    for i in range(len(a)):
+        rep = check_proportional(a[i], b[i])
+        for name in ("scalar", "residual", "both_zero", "verdict"):
+            assert getattr(rep, name) == getattr(stacked, name)[i]
+
+
+@pytest.mark.parametrize("family", ["ginibre", "shared"])
+def test_word_identities_large_smax(family):
+    # W^s and W^{-s} are rescaled every step, so s_max far past the
+    # overflow of the raw powers (about s = 94) stays finite and passes
+    rng = np.random.default_rng(23)
+    for v, w in _family_stack(family, rng, 40):
+        assert verify_word_identities(v, w, s_max=200, n_max=2).all_passed
+
+
+def test_word_identities_rejects_bad_stacks():
+    with pytest.raises(ValueError):
+        verify_word_identities(np.zeros((3, 2, 2)), np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError):
+        verify_word_identities(np.zeros((3, 2, 3)), np.zeros((3, 2, 3)))
+    with pytest.raises(ValueError):
+        verify_word_identities(np.full((1, 2, 2), np.inf), np.zeros((1, 2, 2)))
 
 
 def test_shared_eigenvector_pair_has_singular_commutator():
