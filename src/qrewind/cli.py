@@ -18,9 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import analytics, emitters, engine, mat2, walk
+from . import analytics, emitters, engine, walk
 from .mat2 import (as_mat2, branch_prob_invariant, branch_prob_state, ginibre,
-                   haar_unitary, shared_eigenvector_pair, verify_word_identities)
+                   haar_unitary, shared_eigenvector_pair, stack_rows,
+                   verify_word_identities)
 from .qgate import random_state
 
 
@@ -78,7 +79,7 @@ def _cmd_verify(args) -> int:
         "ginibre": lambda: (ginibre(rng), ginibre(rng)),
         "shared-eigenvector": lambda: shared_eigenvector_pair(rng),
     }
-    per_call = mat2.stack_rows(args.smax, args.nmax)
+    per_call = stack_rows(args.smax, args.nmax)
     failures = 0
     for name, sampler in families.items():
         worst = 0.0

@@ -101,12 +101,7 @@ class ProportionalityReport:
 
 def _proportional(a: np.ndarray, b: np.ndarray, tol: float,
                   floor: float = NORM_FLOOR) -> ProportionalityReport:
-    """Stacked proportionality test of a[i] against b[i], stacks (..., 2, 2).
-
-    The scalar is the Hilbert-Schmidt least-squares fit <B,A>/<B,B>; the
-    verdict holds when the fit residual is below tol * max(|A|, |B|, floor).
-    B = 0 is handled separately: then A must itself vanish (within floor).
-    """
+    """check_proportional of a[i] against b[i] for stacks (..., 2, 2)."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
     lead = a.shape[:-2]
@@ -127,8 +122,14 @@ def _proportional(a: np.ndarray, b: np.ndarray, tol: float,
 
 def check_proportional(a, b, tol: float = DEFAULT_TOL,
                        floor: float = NORM_FLOOR) -> ProportionalityReport:
-    """Quantitative test whether A is proportional to B: the N = 1 view of
-    the stacked test that verify_word_identities runs."""
+    """Quantitative test whether A is proportional to B.
+
+    The scalar is the Hilbert-Schmidt least-squares fit <B,A>/<B,B>; the
+    verdict holds when the fit residual is below tol * max(|A|, |B|, floor).
+    B = 0 is handled separately: then A must itself vanish (within floor).
+    This is the N = 1 view of the stacked test that verify_word_identities
+    runs.
+    """
     return _proportional(as_mat2(a)[None], as_mat2(b)[None], tol, floor)[0]
 
 
