@@ -3,10 +3,11 @@
 Two first-passage quantities drive everything: the time T1 for the ladder
 walk to first reach the top origin (odd support) and the full return time
 T1 + T2 back to the bottom origin (even support). Both have explicit
-alternating-binomial formulas; this module evaluates them exactly over
-rationals, and in float mode through exact dyadic accumulation or, for long
-horizons, through the numerically stable product form of the generating
-function
+alternating-binomial formulas. With p = a/b in lowest terms every term
+is an integer over b^t, so this module evaluates them exactly as Python-int
+sums divided once; a float p goes through its exact dyadic value and one
+rounding. Float profiles and planning use the numerically stable product
+form of the generating function
 
     f(alpha) = (A - sqrt((1 - alpha^2) (1 - (2p-1)^2 alpha^2))) / (2 p alpha),
     A = 1 + (2p-1) alpha^2,
@@ -52,58 +53,49 @@ def gen_binomial(r, k: int) -> Fraction:
     return out / math.factorial(k)
 
 
-@lru_cache(maxsize=None)
-def _half_binomial(n: int) -> Fraction:
-    return gen_binomial(Fraction(1, 2), n)
+def _catalan(k: int) -> int:
+    return math.comb(2 * k, k) // (k + 1)
 
 
-def _pow_zero_safe(base: Fraction, exp: int) -> Fraction:
-    # 0^0 = 1 by convention, keeping the formulas continuous at p = 1/2.
-    if exp == 0:
-        return Fraction(1)
-    return base ** exp
-
+# sign C(1/2, n) (2p)^(2n-1) = Cat(n-1) p^(2n-1) and C(1-2n, k) (2p-1)^k =
+# C(2n+k-2, k) (1-2p)^k make the paper's sums integral; 0 ** 0 == 1 at p = 1/2.
 
 def _first_passage_exact(p: Fraction, t: int) -> Fraction:
     if t % 2 == 0:
         return Fraction(0)
     m = (t + 1) // 2
-    two_p = 2 * p
-    skew = 2 * p - 1
-    total = Fraction(0)
-    for n in range(1, m + 1):
-        sign = 1 if (n + 1) % 2 == 0 else -1
-        term = sign * _half_binomial(n) * gen_binomial(1 - 2 * n, m - n)
-        term *= two_p ** (2 * n - 1)
-        term *= _pow_zero_safe(skew, m - n)
-        total += term
-    return total
+    a, b = p.numerator, p.denominator
+    d = b * (b - 2 * a)
+    total = sum(_catalan(n - 1) * math.comb(m + n - 2, m - n)
+                * a ** (2 * n - 1) * d ** (m - n) for n in range(1, m + 1))
+    return Fraction(total, b ** t)
 
 
 def _return_exact(p: Fraction, t: int) -> Fraction:
     if t % 2 == 1:
         return Fraction(0)
     m = t // 2
-    two_p = 2 * p
-    skew = 2 * p - 1
-    total = Fraction(0)
+    a, b = p.numerator, p.denominator
+    d = b * (b - 2 * a)
+    total = 0
     for k in range(1, m + 1):
         for i in range(1, k + 1):
-            ci = _half_binomial(i) * gen_binomial(1 - 2 * i, k - i)
+            ci = _catalan(i - 1) * math.comb(k + i - 2, k - i)
             for j in range(1, m - k + 2):
-                sign = 1 if (i + j) % 2 == 0 else -1
-                term = sign * ci * _half_binomial(j)
-                term *= gen_binomial(1 - 2 * j, m - k + 1 - j)
-                term *= two_p ** (2 * (i + j - 1))
-                term *= _pow_zero_safe(skew, m + 1 - (i + j))
-                total += term
-    return total
+                total += (ci * _catalan(j - 1) * math.comb(m - k + j - 1, m - k + 1 - j)
+                          * a ** (2 * (i + j - 1)) * d ** (m + 1 - i - j))
+    return Fraction(total, b ** t)
 
 
 def first_passage_pmf(p, t: int):
     """P(T1 = t): probability the walk first reaches the top origin at step t.
 
-    Even t gives exactly 0. Rational p (int/Fraction) returns an exact
+    Even t gives exactly 0. With p = a/b in lowest terms, d = b (b - 2a)
+    and t = 2m - 1,
+
+        P(T1 = t) = sum_{n=1..m} Cat(n-1) C(m+n-2, m-n) a^(2n-1) d^(m-n) / b^t,
+
+    an integer sum divided once. Rational p (int/Fraction) returns that
     Fraction; float p is evaluated exactly over its dyadic value and rounded
     once, so float mode agrees with the rational route to the last bit.
     """
@@ -116,9 +108,12 @@ def first_passage_pmf(p, t: int):
 def return_pmf(p, t: int):
     """P(T1 + T2 = t): probability the full protocol closes at step t.
 
-    Odd t gives exactly 0. Equals the self-convolution of first_passage_pmf;
-    evaluated here through its own triple-sum formula so the two routes stay
-    independent.
+    Odd t gives exactly 0. With a, b, d as in first_passage_pmf and t = 2m,
+    b^t P(T1 + T2 = t) is the integer sum over 1 <= i <= k <= m and
+    1 <= j <= m-k+1 of Cat(i-1) C(k+i-2, k-i) Cat(j-1) C(m-k+j-1, m-k+1-j)
+    a^(2(i+j-1)) d^(m+1-i-j). It equals the self-convolution of
+    first_passage_pmf but keeps its own triple sum, so the two routes stay
+    independent. Float p is rounded once, as in first_passage_pmf.
     """
     if t < 1:
         raise ValueError("step count must be positive")

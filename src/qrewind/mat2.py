@@ -322,24 +322,28 @@ def branch_prob_invariant(v, w) -> float:
     return min(float(np.vdot(xh, xh).real) / 2.0, 1.0)
 
 
-def branch_prob_state(v, w, psi) -> tuple[float, float, float]:
+def branch_prob_state(v, w, psi):
     """Per-state branch probabilities (vertical, horizontal, abort).
 
+    psi is one state or a (K, 2) stack of states; V and W are checked once
+    per call. One state gives three floats, a stack three (K,) arrays.
     Valid for contraction V, W: the two branch weights then sum to at most 1
     and the remainder is the abort probability of the post-selected
     realisation. For unitary inputs the abort term vanishes.
     """
     v, w = as_mat2(v), as_mat2(w)
-    psi = np.asarray(psi, dtype=complex).reshape(2)
-    nrm = math.sqrt(np.vdot(psi, psi).real)
-    if abs(nrm - 1.0) > INPUT_TOL:
+    psi = np.asarray(psi, dtype=complex)
+    if (np.abs(np.sqrt(np.vecdot(psi, psi).real) - 1.0) > INPUT_TOL).any():
         raise ValueError("state must be normalised")
     if not (is_contraction(v) and is_contraction(w)):
         raise ValueError("branch probabilities need contraction inputs "
                          "(operator norm <= 1)")
-    x_psi = v @ (w @ psi) - w @ (v @ psi)
-    y_psi = v @ (w @ psi) + w @ (v @ psi)
-    p_vert = np.vdot(x_psi, x_psi).real / 4.0
-    p_horiz = np.vdot(y_psi, y_psi).real / 4.0
-    p_abort = max(1.0 - p_vert - p_horiz, 0.0)
+    col = psi[..., None]
+    vw, wv = (v @ (w @ col))[..., 0], (w @ (v @ col))[..., 0]
+    x_psi, y_psi = vw - wv, vw + wv
+    p_vert = np.vecdot(x_psi, x_psi).real / 4.0
+    p_horiz = np.vecdot(y_psi, y_psi).real / 4.0
+    p_abort = np.maximum(1.0 - p_vert - p_horiz, 0.0)
+    if psi.ndim == 1:
+        return float(p_vert), float(p_horiz), float(p_abort)
     return p_vert, p_horiz, p_abort

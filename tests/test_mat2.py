@@ -229,15 +229,19 @@ def test_branch_prob_state_independence():
     for _ in range(50):
         v, w = haar_unitary(rng), haar_unitary(rng)
         p_ref = branch_prob_invariant(v, w)
-        probs = []
+        states = []
         for _ in range(100):
             psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            psi /= math.sqrt(np.vdot(psi, psi).real)
-            p_vert, p_horiz, p_abort = branch_prob_state(v, w, psi)
-            assert p_abort < 1e-11
-            probs.append(p_vert)
+            states.append(psi / math.sqrt(np.vdot(psi, psi).real))
+        singles = [branch_prob_state(v, w, psi) for psi in states]
+        probs = [p_vert for p_vert, _, _ in singles]
+        assert all(p_abort < 1e-11 for _, _, p_abort in singles)
         assert max(probs) - min(probs) < 1e-11
         assert abs(probs[0] - p_ref) < 1e-11
+        # one call on the stack gives the single calls' bits
+        stacked = branch_prob_state(v, w, np.array(states))
+        assert all(col.shape == (100,) for col in stacked)
+        assert np.array_equal(np.array(stacked).T, np.array(singles))
 
 
 def test_branch_prob_state_examples():
@@ -252,3 +256,7 @@ def test_branch_prob_state_examples():
         branch_prob_state(2.0 * IDENTITY, IDENTITY, psi)
     with pytest.raises(ValueError):
         branch_prob_state(SIGMA_X, SIGMA_Z, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        branch_prob_state(SIGMA_X, SIGMA_Z, np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    stacked = branch_prob_state(0.5 * IDENTITY, IDENTITY, np.array([psi, psi[::-1]]))
+    assert np.allclose(stacked, [[0.0, 0.0], [0.25, 0.25], [0.75, 0.75]], atol=1e-12)

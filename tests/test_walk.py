@@ -87,8 +87,10 @@ def test_dp_known_values_and_even_zeros():
     assert all(dist.prob(t) == 0 for t in (2, 4, 6, 8, 10))
 
 
-rational_probs = st.integers(1, 60).flatmap(
-    lambda b: st.integers(0, b).map(lambda a: Fraction(a, b)))
+# small denominators, and dyadic ones up to 2^1074 where b - 2a < 0 and b^t is huge
+rational_probs = st.one_of(
+    st.integers(1, 60).flatmap(lambda b: st.integers(0, b).map(lambda a: Fraction(a, b))),
+    st.floats(0, 1).map(Fraction))
 
 
 @settings(derandomize=True, deadline=None)
