@@ -34,9 +34,13 @@ def is_rational_prob(p) -> bool:
     return isinstance(p, (int, Fraction)) and not isinstance(p, bool)
 
 
-def _as_exact(p) -> Fraction:
-    q = Fraction(p)  # exact also for floats (dyadic)
-    if q < 0 or q > 1:
+def as_prob(p):
+    """p as a Fraction (int or Fraction input) or a float, checked to lie in [0, 1].
+
+    The one range check on a branch probability; NaN fails it too.
+    """
+    q = Fraction(p) if is_rational_prob(p) else float(p)
+    if not 0 <= q <= 1:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
     return q
 
@@ -101,8 +105,9 @@ def first_passage_pmf(p, t: int):
     """
     if t < 1:
         raise ValueError("step count must be positive")
-    exact = _first_passage_exact(_as_exact(p), t)
-    return exact if is_rational_prob(p) else float(exact)
+    q = as_prob(p)
+    exact = _first_passage_exact(Fraction(q), t)
+    return exact if isinstance(q, Fraction) else float(exact)
 
 
 def return_pmf(p, t: int):
@@ -117,8 +122,9 @@ def return_pmf(p, t: int):
     """
     if t < 1:
         raise ValueError("step count must be positive")
-    exact = _return_exact(_as_exact(p), t)
-    return exact if is_rational_prob(p) else float(exact)
+    q = as_prob(p)
+    exact = _return_exact(Fraction(q), t)
+    return exact if isinstance(q, Fraction) else float(exact)
 
 
 # ── Stable float series (product form of the generating function) ────────
@@ -205,7 +211,7 @@ def cumulative_success(p, m: int, mode: str = "full"):
     if mode not in ("commutator", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     if is_rational_prob(p):
-        q = _as_exact(p)
+        q = as_prob(p)
         pmf = _first_passage_exact if mode == "commutator" else _return_exact
         start = 1 if mode == "commutator" else 2
         return sum((pmf(q, t) for t in range(start, m + 1, 2)), Fraction(0))
@@ -225,7 +231,7 @@ def genfunc_closed(p, alpha: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    p = float(p)
+    p = float(as_prob(p))
     if p == 0.0:
         return 0.0
     a2 = alpha * alpha
@@ -244,9 +250,8 @@ def genfunc_series(p, t_max: int) -> list:
     """
     if t_max < 1 or t_max > GENFUNC_SERIES_GUARD:
         raise ValueError(f"t_max must lie in [1, {GENFUNC_SERIES_GUARD}]")
-    rational = is_rational_prob(p)
-    q = _as_exact(p) if rational else float(p)
-    zero = Fraction(0) if rational else 0.0
+    q = as_prob(p)
+    zero = Fraction(0) if isinstance(q, Fraction) else 0.0
     coeffs = [zero] * (t_max + 1)
     coeffs[1] = q
     for n in range(2, t_max + 1):
@@ -268,7 +273,7 @@ class TrimPlan:
 
 
 def required_m(p_min, q, dt: float | None = None, tau: float | None = None,
-               s: int = 0, m_cap: int = REQUIRED_M_CAP) -> TrimPlan:
+               s: int = 0) -> TrimPlan:
     """Smallest even m with full-protocol success >= q for every p in [p_min, 1].
 
     Only p_min is evaluated: the worst case over [p_min, 1] sits there
@@ -280,7 +285,7 @@ def required_m(p_min, q, dt: float | None = None, tau: float | None = None,
     on every input tried (tests/test_analytics.py keeps that scan as the
     oracle). When both timing constants are given, the running-time bound
     T' = m (dt + tau) + s dt is reported too. ValueError when no even
-    budget up to m_cap reaches q.
+    budget up to REQUIRED_M_CAP (read at call time) reaches q.
 
     The running sum streams _hitting_profiles' return row in its operation
     order, stopping at the first budget that reaches q in O(1) memory.
@@ -305,7 +310,7 @@ def required_m(p_min, q, dt: float | None = None, tau: float | None = None,
     h_prev, h = next(coeffs), next(coeffs)      # h_2, h_4
     cum = (c2 - h - c * h_prev) / denom         # P(T1 + T2 = 2)
     # each step pairs a budget with h_{budget + 4}
-    for budget, h_next in zip(range(2, m_cap + 1, 2), coeffs):
+    for budget, h_next in zip(range(2, REQUIRED_M_CAP + 1, 2), coeffs):
         if cum >= q:
             t_prime = None
             if dt is not None and tau is not None:
@@ -314,7 +319,7 @@ def required_m(p_min, q, dt: float | None = None, tau: float | None = None,
                             t_prime=t_prime)
         h_prev, h = h, h_next
         cum += -(h + c * h_prev) / denom        # P(T1 + T2 = budget + 2)
-    raise ValueError(f"no gate budget up to {m_cap} reaches success {q} "
+    raise ValueError(f"no gate budget up to {REQUIRED_M_CAP} reaches success {q} "
                      f"for p_min = {p_min}")
 
 
@@ -325,16 +330,16 @@ class HittingDist:
     """Probability mass function over step counts t = 1..t_max.
 
     probs[i] holds P(T = i + 1); entries on the wrong parity are stored as
-    explicit zeros so convolution stays index-exact. backing is "rational"
-    (Fraction entries) or "float".
+    explicit zeros so convolution stays index-exact. backing is derived
+    from the entries: "rational" when every one is a Fraction, else "float".
     """
 
     probs: list
-    backing: str = "float"
 
-    def __post_init__(self):
-        if self.backing not in ("rational", "float"):
-            raise ValueError(f"unknown backing {self.backing!r}")
+    @property
+    def backing(self) -> str:
+        rational = self.probs and all(isinstance(v, Fraction) for v in self.probs)
+        return "rational" if rational else "float"
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -355,11 +360,9 @@ class HittingDist:
 def first_passage_dist(p, t_max: int) -> HittingDist:
     """HittingDist of T1 from the closed formula, matching p's backing."""
     if is_rational_prob(p):
-        q = _as_exact(p)
-        return HittingDist([_first_passage_exact(q, t) for t in range(1, t_max + 1)],
-                           backing="rational")
-    return HittingDist(first_passage_profile(float(p), t_max)[1:].tolist(),
-                       backing="float")
+        q = as_prob(p)
+        return HittingDist([_first_passage_exact(q, t) for t in range(1, t_max + 1)])
+    return HittingDist(first_passage_profile(float(p), t_max)[1:].tolist())
 
 
 @dataclass

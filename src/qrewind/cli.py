@@ -126,7 +126,7 @@ def _cmd_dist(args) -> int:
         sample = walk.sample_first_passage_batch(float(p), args.runs, args.tmax,
                                                  args.seed, workers=args.workers)
         pmf = sample.empirical_pmf()
-        dist = analytics.HittingDist([float(x) for x in pmf[1:]], backing="float")
+        dist = analytics.HittingDist([float(x) for x in pmf[1:]])
     emitters.emit(dist, "csv", args.out, exact=args.exact)
     print(f"wrote {args.out}")
     return 0

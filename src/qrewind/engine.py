@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from . import analytics, qgate
-from .mat2 import as_mat2, branch_maps, branch_prob_invariant, is_contraction, is_unitary
+from .mat2 import (INPUT_TOL, as_mat2, branch_maps, branch_prob_invariant, is_contraction,
+                   is_unitary)
 from .walk import LANES, chunks, sample_return_batch
 
 
@@ -52,8 +53,8 @@ class ProtocolConfig:
             raise ValueError("v and w must be supplied together")
         if self.v is None and self.p_override is None:
             raise ValueError("either matrices (v, w) or p_override is required")
-        if self.p_override is not None and not 0.0 <= self.p_override <= 1.0:
-            raise ValueError("p_override must lie in [0, 1]")
+        if self.p_override is not None:
+            analytics.as_prob(self.p_override)
         if self.mode not in ("unitary", "contraction"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.m < 2:
@@ -71,7 +72,7 @@ class ProtocolConfig:
                 raise ValueError("contraction mode requires operator norm <= 1")
         if self.psi0 is not None:
             psi = qgate.as_state(self.psi0)
-            if abs(math.sqrt(np.vdot(psi, psi).real) - 1.0) > 1e-10:
+            if abs(math.sqrt(np.vdot(psi, psi).real) - 1.0) > INPUT_TOL:
                 raise ValueError("psi0 must be a unit state")
         return self
 
@@ -240,16 +241,9 @@ class Statistics:
     q_count_hist: dict[int, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "n_runs": self.n_runs,
-            "n_success": self.n_success,
-            "n_trim_fail": self.n_trim_fail,
-            "n_abort": self.n_abort,
-            "success_rate": self.success_rate,
-            "min_fidelity": self.min_fidelity,
-            "mean_fidelity": self.mean_fidelity,
-            "q_count_hist": {str(k): v for k, v in sorted(self.q_count_hist.items())},
-        }
+        out = asdict(self)
+        out["q_count_hist"] = {str(k): v for k, v in sorted(self.q_count_hist.items())}
+        return out
 
 
 # ── Batched lane kernel ──────────────────────────────────────────────────

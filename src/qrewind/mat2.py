@@ -99,8 +99,7 @@ class ProportionalityReport:
                                      self.both_zero[idx], self.verdict[idx])
 
 
-def _proportional(a: np.ndarray, b: np.ndarray, tol: float,
-                  floor: float = NORM_FLOOR) -> ProportionalityReport:
+def _proportional(a: np.ndarray, b: np.ndarray, tol: float) -> ProportionalityReport:
     """check_proportional of a[i] against b[i] for stacks (..., 2, 2)."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
@@ -109,28 +108,27 @@ def _proportional(a: np.ndarray, b: np.ndarray, tol: float,
     a_norm = np.sqrt(np.vecdot(a4, a4).real)
     bb = np.vecdot(b4, b4)
     b_norm = np.sqrt(bb.real)
-    b_zero = b_norm <= floor
+    b_zero = b_norm <= NORM_FLOOR
     # zero-B rows divide by 1 and fit 0, so their residual is |A|
     scalar = np.where(b_zero, 0j, np.vecdot(b4, a4) / np.where(b_zero, 1.0, bb))
     diff = a4 - scalar[..., None] * b4
     residual = np.sqrt(np.vecdot(diff, diff).real)
-    both_zero = b_zero & (a_norm <= floor)
-    scale = np.maximum(np.maximum(a_norm, b_norm), floor)
+    both_zero = b_zero & (a_norm <= NORM_FLOOR)
+    scale = np.maximum(np.maximum(a_norm, b_norm), NORM_FLOOR)
     verdict = np.where(b_zero, both_zero, residual <= tol * scale)
     return ProportionalityReport(scalar, residual, both_zero, verdict)
 
 
-def check_proportional(a, b, tol: float = DEFAULT_TOL,
-                       floor: float = NORM_FLOOR) -> ProportionalityReport:
+def check_proportional(a, b, tol: float = DEFAULT_TOL) -> ProportionalityReport:
     """Quantitative test whether A is proportional to B.
 
     The scalar is the Hilbert-Schmidt least-squares fit <B,A>/<B,B>; the
-    verdict holds when the fit residual is below tol * max(|A|, |B|, floor).
-    B = 0 is handled separately: then A must itself vanish (within floor).
+    verdict holds when the fit residual is below tol * max(|A|, |B|, NORM_FLOOR).
+    B = 0 is handled separately: then A must itself vanish (within NORM_FLOOR).
     This is the N = 1 view of the stacked test that verify_word_identities
     runs.
     """
-    return _proportional(as_mat2(a)[None], as_mat2(b)[None], tol, floor)[0]
+    return _proportional(as_mat2(a)[None], as_mat2(b)[None], tol)[0]
 
 
 # ── Samplers ─────────────────────────────────────────────────────────────

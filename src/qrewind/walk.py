@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analytics import HittingDist, is_rational_prob
+from .analytics import HittingDist, as_prob
 
 DP_HORIZON_GUARD = 10**4
 
@@ -109,9 +109,7 @@ def _ladder_mc(p, runs: int, cap: int, seed: int, workers: int,
     run times out. A stream of at most CHUNK runs is one chunk, so its
     draws, and the sample, do not depend on CHUNK.
     """
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("probability must lie in [0, 1]")
+    p = float(as_prob(p))
     upper = target_row is Row.UPPER
     counts = np.zeros(cap + 1, dtype=np.int64)
     timeouts = 0
@@ -175,10 +173,8 @@ def _ladder_dp(p, t_max: int, target_row: Row) -> HittingDist:
     """
     if t_max < 1 or t_max > DP_HORIZON_GUARD:
         raise ValueError(f"t_max must lie in [1, {DP_HORIZON_GUARD}]")
-    rational = is_rational_prob(p)
-    p = Fraction(p) if rational else float(p)
-    if not 0 <= p <= 1:
-        raise ValueError("probability must lie in [0, 1]")
+    p = as_prob(p)
+    rational = isinstance(p, Fraction)
     if rational:
         vert, horiz, dtype = p.numerator, p.denominator - p.numerator, object
     else:
@@ -195,9 +191,8 @@ def _ladder_dp(p, t_max: int, target_row: Row) -> HittingDist:
         pmf.append(target[origin])
         target[origin] = 0
     if rational:
-        return HittingDist([Fraction(v, p.denominator ** t)
-                            for t, v in enumerate(pmf, 1)], backing="rational")
-    return HittingDist([float(v) for v in pmf], backing="float")
+        return HittingDist([Fraction(v, p.denominator ** t) for t, v in enumerate(pmf, 1)])
+    return HittingDist([float(v) for v in pmf])
 
 
 def dp_first_passage(p, t_max: int) -> HittingDist:
@@ -240,9 +235,7 @@ def run_walk_protocol(p: float, m: int, rng: np.random.Generator) -> TrimmedOutc
     """
     if m < 2:
         raise ValueError("gate budget must be at least 2")
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("probability must lie in [0, 1]")
+    p = float(as_prob(p))
     steps = 0
     row, pos = 0, 0
     phase1 = None

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrewind import walk
+from qrewind.engine import ProtocolConfig
+
+from qrewind import analytics, walk
 from qrewind.analytics import (GENFUNC_SERIES_GUARD, REQUIRED_M_CAP,
-                               HittingDist, TrimPlan, cumulative_profile,
+                               HittingDist, TrimPlan, as_prob, cumulative_profile,
                                cumulative_success, first_passage_dist,
                                first_passage_pmf, first_passage_profile,
                                gen_binomial, genfunc_closed, genfunc_series,
@@ -19,14 +21,37 @@ from qrewind.analytics import (GENFUNC_SERIES_GUARD, REQUIRED_M_CAP,
 GRID = [Fraction(k, 10) for k in range(11)]
 
 
-def test_gen_binomial_values():
-    assert gen_binomial(Fraction(1, 2), 0) == 1
-    assert gen_binomial(Fraction(1, 2), 2) == Fraction(-1, 8)
-    for k in range(8):
-        assert gen_binomial(-1, k) == (-1) ** k
-    for r in range(6):
-        for k in range(8):
-            assert gen_binomial(r, k) == math.comb(r, k)
+def test_as_prob_keeps_the_kind_and_checks_the_range():
+    for p in (0, 1, Fraction(1, 3)):
+        assert as_prob(p) == p and isinstance(as_prob(p), Fraction)
+    for p in (0.0, 0.25, 1.0, np.float64(0.5)):
+        assert as_prob(p) == p and type(as_prob(p)) is float
+    for p in (1.5, -0.2, math.nan, math.inf, 2, Fraction(-1, 3)):
+        with pytest.raises(ValueError, match=r"probability must lie in \[0, 1\], got"):
+            as_prob(p)
+
+
+# every public entry point that takes a branch probability, given p as is
+ENTRY_POINTS = {
+    "first_passage_pmf": lambda p: first_passage_pmf(p, 3),
+    "return_pmf": lambda p: return_pmf(p, 4),
+    "cumulative_success": lambda p: cumulative_success(p, 4),
+    "first_passage_dist": lambda p: first_passage_dist(p, 3),
+    "genfunc_closed": lambda p: genfunc_closed(p, 0.5),
+    "genfunc_series": lambda p: genfunc_series(p, 5),
+    "dp_first_passage": lambda p: walk.dp_first_passage(p, 5),
+    "dp_return_time": lambda p: walk.dp_return_time(p, 5),
+    "sample_first_passage_batch": lambda p: walk.sample_first_passage_batch(p, 10, 5, 0),
+    "run_walk_protocol": lambda p: walk.run_walk_protocol(p, 4, np.random.default_rng(0)),
+    "p_override": lambda p: ProtocolConfig(p_override=p).validate(),
+}
+
+
+@pytest.mark.parametrize("p", [1.5, -0.25, math.nan, Fraction(3, 2), Fraction(-1, 4)])
+def test_entry_points_reject_p_outside_unit_interval(p):
+    for call in ENTRY_POINTS.values():
+        with pytest.raises(ValueError, match=r"probability must lie in \[0, 1\], got"):
+            call(p)
 
 
 def _enumerated_first_passage(p: Fraction, t: int) -> Fraction:
@@ -181,7 +206,7 @@ def test_required_m_examples():
     assert required_m(0.5, 0.24).m == 2
 
 
-def test_required_m_definitional():
+def test_required_m_definitional(monkeypatch):
     plan = required_m(0.5, 0.6, dt=1.0, tau=0.5, s=3)
     assert plan.m % 2 == 0
     assert plan.t_prime == plan.m * 1.5 + 3.0
@@ -196,8 +221,10 @@ def test_required_m_definitional():
         required_m(0.0, 0.5)
     with pytest.raises(ValueError):
         required_m(0.5, 1.0)
-    with pytest.raises(ValueError, match="no gate budget up to 4"):
-        required_m(0.5, 0.99, m_cap=4)
+    with monkeypatch.context() as patch:
+        patch.setattr(analytics, "REQUIRED_M_CAP", 4)
+        with pytest.raises(ValueError, match="no gate budget up to 4"):
+            required_m(0.5, 0.99)
     for p in (1e-300, 1e-160):  # 2 p^2 underflows: nan rows, or a divide by 0
         with pytest.raises(ValueError, match="too small"):
             required_m(p, 0.5)
@@ -308,8 +335,7 @@ def test_hitting_dist_container():
     assert len(dist) == 5
     with pytest.raises(IndexError):
         dist.prob(6)
-    with pytest.raises(ValueError):
-        HittingDist([0.5], backing="decimal")
     floats = first_passage_dist(0.5, 5)
     assert floats.backing == "float"
+    assert HittingDist([Fraction(1, 2), 0.25]).backing == "float"
     np.testing.assert_allclose(floats.as_floats(), [0.5, 0, 0.125, 0, 0.0625])
