@@ -156,9 +156,11 @@ def _reject_underflowing_square(p: float):
 def _hitting_profiles(p, t_max: int) -> np.ndarray:
     """Float pmf rows P(T1 = t) and P(T1 + T2 = t) for t = 0..t_max (t = 0 unused).
 
-    One pass of _sqrt_coeffs gives h_0..h_{t_max+2}; with c = 2p - 1,
-        P(T1 = 1) = (c - h_2) / 2p,  P(T1 = t) = -h_{t+1} / 2p  (odd t >= 3),
-        P(T1 + T2 = 2) = (c^2 - h_4 - c h_2) / 2p^2,
+    The first terms are exact, P(T1 = 1) = p and P(T1 + T2 = 2) = p^2 (their
+    product forms (c - h_2) / 2p and (c^2 - h_4 - c h_2) / 2p^2 lose their
+    digits to cancellation as p shrinks). One pass of _sqrt_coeffs gives h_0..h_{t_max+2};
+    with c = 2p - 1 the later terms are
+        P(T1 = t) = -h_{t+1} / 2p  (odd t >= 3),
         P(T1 + T2 = t) = -(h_{t+2} + c h_t) / 2p^2  (even t >= 4),
     each negation taken as 0 - x, so a zero coefficient gives +0. ValueError
     for p outside [0, 1] (1e-12 of grid roundoff is forgiven) and for
@@ -175,11 +177,11 @@ def _hitting_profiles(p, t_max: int) -> np.ndarray:
     c = 2.0 * p - 1.0
     h = np.fromiter(_sqrt_coeffs(c * c), float, count=t_max // 2 + 2)  # h_{2k} at k
     fp, ret = out
-    fp[1] = (c - h[1]) / (2.0 * p)
+    fp[1] = p
     fp[3::2] = (0.0 - h[2:(t_max + 1) // 2 + 1]) / (2.0 * p)
     if t_max >= 2:
         denom = 2.0 * p * p
-        ret[2] = (c * c - h[2] - c * h[1]) / denom
+        ret[2] = p * p
         ret[4::2] = (0.0 - (h[3:] + c * h[2:-1])) / denom
     return out
 
@@ -308,7 +310,7 @@ def required_m(p_min, q, dt: float | None = None, tau: float | None = None,
     coeffs = _sqrt_coeffs(c2)
     next(coeffs)                                # h_0
     h_prev, h = next(coeffs), next(coeffs)      # h_2, h_4
-    cum = (c2 - h - c * h_prev) / denom         # P(T1 + T2 = 2)
+    cum = p_min * p_min                         # P(T1 + T2 = 2)
     # each step pairs a budget with h_{budget + 4}
     for budget, h_next in zip(range(2, REQUIRED_M_CAP + 1, 2), coeffs):
         if cum >= q:

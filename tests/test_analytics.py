@@ -156,6 +156,22 @@ def test_cumulative_success_values():
         cumulative_success(0.5, 4, "sideways")
 
 
+def test_exact_values_behind_criteria_5_and_8():
+    # Criteria 5 and 8 fail by design; these are the exact values they meet.
+    # At p = 1/2, P(T1 <= 2m - 1) = 1 - C(2m, m) / 4^m.
+    half = Fraction(1, 2)
+    for m in range(1, 31):
+        assert cumulative_success(half, 2 * m - 1, "commutator") == \
+            1 - Fraction(math.comb(2 * m, m), 4 ** m)
+    n = 5 * 10**4
+    crit5 = float(1 - Fraction(math.comb(2 * n, n), 4 ** n))
+    assert crit5 == 0.9974768737858033
+    assert cumulative_profile(0.5, 10**5)[0][-1] == pytest.approx(crit5, abs=1e-14)
+    crit8 = float(cumulative_success(half, 100, "full"))
+    assert crit8 == 0.842382098507744
+    assert cumulative_success(0.5, 100, "full") == pytest.approx(crit8, abs=1e-15)
+
+
 def test_cumulative_success_monotone():
     fp_cum, ret_cum = cumulative_profile(0.37, 4000)
     assert np.all(np.diff(fp_cum) >= -1e-15)
@@ -204,6 +220,14 @@ def test_genfunc_series_exact():
 def test_required_m_examples():
     assert required_m(1.0, 0.99).m == 2
     assert required_m(0.5, 0.24).m == 2
+    # P(T1 + T2 = 2) = p^2 exactly, so a target of p_min^2 needs only m = 2
+    assert required_m(1e-3, 1e-6).m == 2
+
+
+def test_profiles_start_with_the_exact_first_terms():
+    # the product forms of these terms cancel for small p (9.992e-8 and 0.0)
+    assert first_passage_profile(1e-7, 3)[1] == 1e-7
+    assert return_profile(1e-6, 4)[2] == 1e-6 * 1e-6
 
 
 def test_required_m_definitional(monkeypatch):
@@ -270,7 +294,7 @@ def _grid_required_m(p_min, q, dt: float | None = None, tau: float | None = None
     for m in range(2, m_cap + 1, 2):
         h0 = ((1.0 + c2) * (m - 3) * h2 - c2 * (m - 6) * h4) / m  # h_m
         if m == 4:
-            r = (c2 - h0 - c * h2) / denom           # return pmf at t = 2
+            r = grid * grid                          # return pmf at t = 2
         elif m >= 6:
             r = -(h0 + c * h2) / denom               # return pmf at t = m - 2
         else:

@@ -14,11 +14,11 @@ from qrewind import cli
 
 FILE_DIGESTS = {
     ("dist", "--p", "0.3", "--tmax", "61", "--method", "theorem"):
-        "e95fc5f7b46ccb9269a31753ce7cf4b1667f419098ee58fb0e551d85da03f900",
+        "afe74ecee802666b38556f125a8df258342b08a4d84ee044588b9a6eb893aac4",
     ("dist", "--p", "0.3", "--tmax", "61", "--method", "dp"):
         "c2079fc50c07852255324dff99ee7a0f2f58d1142b9be7280aa692e58b558213",
     ("dist", "--p", "1e-7", "--tmax", "61", "--method", "theorem"):
-        "11a6780c9a9ee8870d06be2ea306463c415c46fa6b6d05e5fdb4936cb3d0b752",
+        "fbdde32b790be09770c898f9220d0851c35615ec8d8f37e326c70d03f026de38",
     ("dist", "--p", "1e-7", "--tmax", "61", "--method", "dp"):
         "91c6f31a1e6d374834212d0a88144fbb482d216487df41426c63a60f4ee9d06c",
     ("dist", "--p", "97/307", "--tmax", "41", "--exact", "--method", "theorem"):
@@ -27,16 +27,16 @@ FILE_DIGESTS = {
         "b6fe263bec489cd7f840b943efd53302d0ac8478d7444f9a9f88c7aaa04a7e9c",
 }
 
-CURVE_CSV_DIGEST = "1b64b57d96457dd79dfc918d01bc46ac606313f691fd19a1d08a82e1442b0e17"
+CURVE_CSV_DIGEST = "bb462792bba5a022417871341fbe76290eb65d4c22c4de353d3e25c6edb10380"
 CURVE_SVG_DIGEST = "f66840a55164c54de192d35732f2918642d76628fae47c4acc6392122fd56ae6"
 
 REQUIRED_M_STDOUT = {
     ("--pmin", "0.005", "--q", "0.9495"):
         "m = 198456\n"
-        "worst grid point: p = 0.0050000000000000001, success = 0.9495000215641265\n",
+        "worst grid point: p = 0.0050000000000000001, success = 0.94950002156649882\n",
     ("--pmin", "1e-3", "--q", "1e-6"):
-        "m = 4\n"
-        "worst grid point: p = 0.001, success = 2.9959798783771226e-06\n",
+        "m = 2\n"
+        "worst grid point: p = 0.001, success = 9.9999999999999995e-07\n",
     ("--pmin", "0.5", "--q", "0.6", "--dt", "1", "--tau", "0.5", "--s", "3"):
         "m = 14\n"
         "worst grid point: p = 0.5, success = 0.60723876953125\n"
