@@ -309,9 +309,10 @@ def branch_prob_invariant(v, w) -> float:
     for unitary inputs, p equals |[V,W] psi|^2 / 4 for every unit state psi,
     and also opnorm([V,W])^2 / 4: a lower bound eps on the commutator's
     operator norm gives p >= eps^2 / 4 (the analogous Frobenius bound
-    carries an extra factor of 2). Its relative error is about 3e-16/sqrt(p):
-    over 200 rotation pairs of exact p the worst was 2.4e-13 at p = 1e-6
-    and 3.1e-10 at p = 1e-12.
+    carries an extra factor of 2). Its relative error is about 3e-16/sqrt(p)
+    and stays below 6e-16/sqrt(p), the bound tests/test_mat2.py checks
+    against the exact p of rational Cayley unitaries from p = 1e-23 to
+    1 - 2e-6; over 2000 such pairs the worst was 3.9e-16/sqrt(p).
     """
     if not (is_unitary(v) and is_unitary(w)):
         raise ValueError("branch_prob_invariant requires unitary inputs; "

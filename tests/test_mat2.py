@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -222,6 +223,85 @@ def test_branch_prob_invariant_values():
     assert branch_prob_invariant(u, u) < 1e-14
     with pytest.raises(ValueError):
         branch_prob_invariant(0.5 * IDENTITY, SIGMA_Z)
+
+
+# Exact 2x2 unitaries for the accuracy envelope: a Gaussian rational is a
+# (re, im) pair of Fractions and a matrix a 2x2 nested list of them.
+
+def _gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gadd(a, b, s=1):
+    return (a[0] + s * b[0], a[1] + s * b[1])
+
+
+def _mmul(a, b):
+    return [[_gadd(_gmul(a[i][0], b[0][j]), _gmul(a[i][1], b[1][j])) for j in range(2)]
+            for i in range(2)]
+
+
+def _mlin(a, b, s):
+    """a + s b for a rational s."""
+    return [[_gadd(a[i][j], b[i][j], s) for j in range(2)] for i in range(2)]
+
+
+_ZERO = [[(Fraction(0), Fraction(0))] * 2] * 2
+_EYE = [[(Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))],
+        [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))]]
+
+
+def _skew(a, b, c, d):
+    """The skew-Hermitian [[i a, b + i c], [-b + i c, i d]]."""
+    return [[(Fraction(0), a), (b, c)], [(-b, c), (Fraction(0), d)]]
+
+
+def _cayley(k):
+    """The unitary (I - K)(I + K)^-1 of a skew-Hermitian K, exactly."""
+    (a, b), (c, d) = _mlin(_EYE, k, 1)
+    det = _gadd(_gmul(a, d), _gmul(b, c), -1)
+    n = det[0] ** 2 + det[1] ** 2
+    r = (det[0] / n, -det[1] / n)  # 1 / det
+    minus_r = (-r[0], -r[1])
+    inv = [[_gmul(d, r), _gmul(b, minus_r)], [_gmul(c, minus_r), _gmul(a, r)]]
+    return _mmul(_mlin(_EYE, k, -1), inv)
+
+
+def _exact_branch_prob(v, w):
+    """p = ||(WV - VW)/2||_F^2 / 2 as a Fraction."""
+    x = _mlin(_mmul(w, v), _mmul(v, w), -1)
+    return sum(re * re + im * im for row in x for re, im in row) / 8
+
+
+def test_branch_prob_invariant_accuracy_envelope():
+    # the docstring's bound: relative error below 6e-16/sqrt(p)
+    rng = np.random.default_rng(15)
+
+    def random_skew():
+        return _skew(*(Fraction(int(n), 1000) for n in rng.integers(-3000, 3000, 4)))
+
+    pairs = []
+    for delta in (Fraction(1, 10**9), Fraction(1, 10**6), Fraction(1, 10**3), Fraction(1)):
+        for _ in range(20):  # W near a function of V: p down to about delta^2
+            k = random_skew()
+            scale = Fraction(int(rng.integers(1, 9)), 3)
+            pairs.append((k, _mlin(_mlin(_ZERO, k, scale), random_skew(), delta)))
+    kx, kz = _skew(0, 0, 1, 0), _skew(1, 0, 0, -1)  # Cayley gives -iX and -iZ
+    assert _exact_branch_prob(_cayley(kx), _cayley(kz)) == 1
+    for delta in (Fraction(1, 10**3), Fraction(1, 10**2)):
+        for _ in range(20):
+            pairs.append((_mlin(kx, random_skew(), delta), _mlin(kz, random_skew(), delta)))
+    probs = []
+    for kv, kw in pairs:
+        v, w = _cayley(kv), _cayley(kw)
+        exact = _exact_branch_prob(v, w)
+        v_float, w_float = (np.array([[complex(re, im) for re, im in row] for row in u])
+                            for u in (v, w))
+        got = branch_prob_invariant(v_float, w_float)
+        rel = float(abs(Fraction(got) - exact) / exact)
+        assert rel * math.sqrt(exact) < 6e-16, (float(exact), rel)
+        probs.append(exact)
+    assert min(probs) < 1e-18 and max(probs) > 1 - 1e-5
 
 
 def test_branch_prob_state_independence():
