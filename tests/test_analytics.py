@@ -8,8 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrewind.engine import ProtocolConfig
-
 from qrewind import analytics, walk
 from qrewind.analytics import (GENFUNC_SERIES_GUARD, REQUIRED_M_CAP,
                                HittingDist, TrimPlan, as_prob, cumulative_profile,
@@ -17,6 +15,7 @@ from qrewind.analytics import (GENFUNC_SERIES_GUARD, REQUIRED_M_CAP,
                                first_passage_pmf, first_passage_profile,
                                gen_binomial, genfunc_closed, genfunc_series,
                                required_m, return_pmf, return_profile)
+from qrewind.engine import ProtocolConfig
 
 GRID = [Fraction(k, 10) for k in range(11)]
 
@@ -52,6 +51,16 @@ def test_entry_points_reject_p_outside_unit_interval(p):
     for call in ENTRY_POINTS.values():
         with pytest.raises(ValueError, match=r"probability must lie in \[0, 1\], got"):
             call(p)
+
+
+def test_gen_binomial_values():
+    assert gen_binomial(Fraction(1, 2), 0) == 1
+    assert gen_binomial(Fraction(1, 2), 2) == Fraction(-1, 8)
+    for k in range(8):
+        assert gen_binomial(-1, k) == (-1) ** k
+    for r in range(6):
+        for k in range(8):
+            assert gen_binomial(r, k) == math.comb(r, k)
 
 
 def _enumerated_first_passage(p: Fraction, t: int) -> Fraction:
