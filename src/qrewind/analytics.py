@@ -158,8 +158,8 @@ def _hitting_profiles(p, t_max: int) -> np.ndarray:
 
     The first terms are exact, P(T1 = 1) = p and P(T1 + T2 = 2) = p^2 (their
     product forms (c - h_2) / 2p and (c^2 - h_4 - c h_2) / 2p^2 lose their
-    digits to cancellation as p shrinks). One pass of _sqrt_coeffs gives h_0..h_{t_max+2};
-    with c = 2p - 1 the later terms are
+    digits to cancellation as p shrinks). One pass of _sqrt_coeffs gives
+    h_0..h_{t_max+2}; with c = 2p - 1 the later terms are
         P(T1 = t) = -h_{t+1} / 2p  (odd t >= 3),
         P(T1 + T2 = t) = -(h_{t+2} + c h_t) / 2p^2  (even t >= 4),
     each negation taken as 0 - x, so a zero coefficient gives +0. ValueError
