@@ -252,6 +252,38 @@ def test_amplitude_campaign_pinned_result():
     assert stats.mean_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
+def test_contraction_campaign_pinned_result():
+    # 1500 runs per stream, so each stream runs one full block and one of 476
+    rng = np.random.default_rng(21)
+    v, w = haar_unitary(rng), haar_unitary(rng)
+    stats = monte_carlo(ProtocolConfig(v=0.9 * v, w=0.9 * w, s=3, m=60, runs=3000,
+                                       seed=11, workers=2, mode="contraction"))
+    assert (stats.n_success, stats.n_trim_fail, stats.n_abort) == (541, 0, 2459)
+    assert stats.q_count_hist == {
+        1: 1060, 2: 1069, 3: 289, 4: 276, 5: 120, 6: 82, 7: 37, 8: 27, 9: 17,
+        10: 9, 11: 4, 12: 6, 13: 1, 15: 1, 17: 1, 19: 1}
+    assert stats.min_fidelity == pytest.approx(1.0, abs=1e-12)
+    assert stats.mean_fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fixed_psi0_campaign_pinned_result():
+    rng = np.random.default_rng(23)
+    v, w = haar_unitary(rng), haar_unitary(rng)
+    stats = monte_carlo(ProtocolConfig(v=v, w=w, s=6, m=120, runs=2500, seed=12,
+                                       workers=2, psi0=random_state(rng)))
+    assert (stats.n_success, stats.n_trim_fail, stats.n_abort) == (2353, 147, 0)
+    assert stats.q_count_hist == {
+        2: 1764, 4: 91, 6: 64, 8: 54, 10: 41, 12: 43, 14: 18, 16: 27, 18: 16,
+        20: 24, 22: 16, 24: 13, 26: 11, 28: 11, 30: 10, 32: 8, 34: 6, 36: 5,
+        38: 8, 40: 5, 42: 6, 44: 10, 46: 7, 48: 3, 50: 9, 52: 2, 54: 3, 56: 2,
+        58: 2, 60: 3, 62: 4, 64: 3, 66: 3, 68: 5, 70: 3, 72: 5, 74: 1, 76: 4,
+        78: 3, 80: 4, 82: 3, 84: 4, 86: 2, 88: 2, 92: 1, 94: 4, 96: 3, 98: 1,
+        100: 2, 104: 1, 106: 1, 108: 2, 110: 3, 112: 2, 114: 2, 116: 1, 118: 1,
+        120: 148}
+    assert stats.min_fidelity == pytest.approx(1.0, abs=1e-12)
+    assert stats.mean_fidelity == pytest.approx(1.0, abs=1e-12)
+
+
 def test_kernel_fixed_psi0_certificate():
     rng = np.random.default_rng(4)
     v, w = haar_unitary(rng), haar_unitary(rng)
