@@ -11,8 +11,9 @@ deterministic RNG streams derived from one master seed.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -92,26 +93,28 @@ class _CompiledProtocol:
 
     xh and yh are the unscaled branch maps x^ = (WV - VW)/2 and
     y^ = (VW + WV)/2 of mat2.branch_maps, for the scalar reference
-    _run_compiled, which measures both branch weights at every gate.
-    branches stacks the same maps for the lane kernel, so that
-    psi @ branches holds x^ psi and y^ psi side by side. In contraction
-    mode they are unscaled and p is None. In unitary mode (the fast path)
-    p is mat2.branch_prob_invariant, the vertical weight |x^ psi|^2 of
-    every unit state, as curve --matrices and verify read it. x^ is divided
-    by sqrt(p) and y^ by sqrt(||y^||_F^2 / 2), its own weight 1 - p, which
-    makes both isometries. A map that is exactly zero (p = 0 or p = 1) is
-    never drawn and stays unscaled. The entries of x^ and y^ carry an
-    absolute error of about 1e-16, so the scaled maps miss an isometry by
-    about 1e-16/sqrt(p) and 1e-16/sqrt(1 - p). Nothing renormalises the
+    _run_compiled. The lane kernel holds each state as the real column
+    [Re psi; Im psi], on which a map A + iB acts as [[A, -B], [B, A]]:
+    branches stacks these real forms of x^ and y^, w_pow_real is that of
+    W^s, and refs maps psi0 to the reference columns of _run_lanes.
+    In contraction mode the maps are unscaled and p is None. In unitary
+    mode (the fast path) p is mat2.branch_prob_invariant, the vertical
+    weight |x^ psi|^2 of every unit state, and x^ and y^ are divided by
+    the square roots of their weights p and ||y^||_F^2 / 2 = 1 - p. That
+    makes both isometries, up to about 1e-16/sqrt(p) and 1e-16/sqrt(1 - p)
+    from the roundoff in their entries. A map that is exactly zero (p = 0
+    or p = 1) is never drawn and stays unscaled. Nothing renormalises the
     state; the final fidelity against W^{-s} psi0 certifies the run.
     """
 
     xh: tuple[complex, complex, complex, complex]   # (WV - VW)/2 entries
     yh: tuple[complex, complex, complex, complex]   # (VW + WV)/2 entries
-    branches: np.ndarray     # (2, 4): psi @ branches = [x^ psi, y^ psi]
+    branches: np.ndarray     # (8, 4) real: branches @ psi = [x^ psi; y^ psi]
     p: float | None          # unitary vertical weight; None in contraction mode
     w_pow: np.ndarray        # W^s, applied at the rewind wait
+    w_pow_real: np.ndarray   # (4, 4) real form of W^s, for the lane kernel
     w_inv_pow: np.ndarray    # W^{-s}, defines the reference state
+    refs: np.ndarray         # (8, 4) real forms of W^{-s} and i W^{-s}
     m: int
     psi0: np.ndarray | None
 
@@ -132,21 +135,27 @@ def _compile(cfg: ProtocolConfig) -> _CompiledProtocol:
         w_inv = np.eye(2, dtype=complex) if cfg.s == 0 else \
             np.array([[w[1, 1], -w[0, 1]], [-w[1, 0], w[0, 0]]], dtype=complex) / det
     half_comm, half_anti = branch_maps(v, w)
-    branches = np.hstack([half_comm.T, half_anti.T])
+    w_pow, w_inv_pow = (np.linalg.matrix_power(z, cfg.s) for z in (w, w_inv))
+    maps = np.stack([half_comm, half_anti, w_pow, w_inv_pow, 1j * w_inv_pow])
     p = None
     if cfg.mode == "unitary":
         p = branch_prob_invariant(v, w)
         q = float(np.vdot(half_anti, half_anti).real) / 2.0
-        for cols, weight in ((slice(0, 2), p), (slice(2, 4), q)):
+        for k, weight in enumerate((p, q)):
             if weight > 0.0:
-                branches[:, cols] /= math.sqrt(weight)
+                maps[k] /= math.sqrt(weight)
+    re, im = maps.real, maps.imag  # real forms, stacked as (20, 4) rows
+    real = np.concatenate([np.concatenate([re, im], axis=1),
+                           np.concatenate([-im, re], axis=1)], axis=2).reshape(-1, 4)
     return _CompiledProtocol(
         xh=tuple(complex(z) for z in half_comm.ravel()),
         yh=tuple(complex(z) for z in half_anti.ravel()),
-        branches=branches,
+        branches=real[:8],
         p=p,
-        w_pow=np.linalg.matrix_power(w, cfg.s),
-        w_inv_pow=np.linalg.matrix_power(w_inv, cfg.s),
+        w_pow=w_pow,
+        w_pow_real=real[8:12],
+        w_inv_pow=w_inv_pow,
+        refs=real[12:],
         m=cfg.m,
         psi0=None if cfg.psi0 is None else qgate.as_state(cfg.psi0),
     )
@@ -241,15 +250,17 @@ class Statistics:
     q_count_hist: dict[int, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["q_count_hist"] = {str(k): v for k, v in sorted(self.q_count_hist.items())}
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        # interned keys: the dicts kept from many campaigns share one string per bin
+        out["q_count_hist"] = {sys.intern(str(k)): v
+                               for k, v in sorted(self.q_count_hist.items())}
         return out
 
 
 # ── Batched lane kernel ──────────────────────────────────────────────────
 
 def _haar_lanes(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n Haar-uniform unit states as the rows of an (n, 2) complex array."""
+    """n Haar-uniform unit states as the real-form columns of a (4, n) array."""
     z = rng.standard_normal((n, 4))
     nrm = np.sqrt((z * z).sum(axis=1))
     small = nrm <= 1e-6
@@ -257,12 +268,12 @@ def _haar_lanes(rng: np.random.Generator, n: int) -> np.ndarray:
         z[small] = rng.standard_normal((np.count_nonzero(small), 4))
         nrm = np.sqrt((z * z).sum(axis=1))
         small = nrm <= 1e-6
-    return (z[:, :2] + 1j * z[:, 2:]) / nrm[:, None]
+    return (z * (1.0 / nrm)[:, None]).T  # rounds as the complex v / nrm of random_state
 
 
 def _norm2(amps: np.ndarray) -> np.ndarray:
-    """Squared norm of each row of an (n, 2) complex array."""
-    return (amps.real ** 2 + amps.imag ** 2).sum(axis=1)
+    """Squared norm of each column, as of the real-form states of (4, n) psi."""
+    return (amps * amps).sum(axis=0)
 
 
 @dataclass
@@ -283,76 +294,75 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
 
     Each lane holds one run: its rail (row), its signed position h (pos on
     the lower rail, -pos on the upper one, so a horizontal step adds 1 and
-    a vertical step negates h), its alive flag and its state as a row of
-    psi. Gate t draws one uniform per lane and applies both branch maps in
-    one matmul. Finished lanes stay in place, masked out, so every array
-    keeps its size. The classical walk without amplitudes is
-    walk.sample_return_batch.
+    a vertical step negates h), its alive flag, its real-form state psi
+    (see _CompiledProtocol) and ref, whose dot products with psi are Re and
+    Im <W^{-s} psi0 | psi>. Gate t applies both branch maps in one real
+    matmul. Once at most half the lanes are live, the block keeps them, in
+    order, in its first width >> k lanes (see walk.LANES); dead lanes among
+    those stay masked. Each gate still draws `width` uniforms and a lane
+    reads the one of its original index, so no draw depends on the halving.
 
-    Unitary mode is the fast path: the maps of cp are isometries and the
-    vertical weight is the constant cp.p, so the branch draw is u < p and
-    neither the branch nor the W^s wait is renormalised. Each vertical step
-    moves the norm by about 1e-16/sqrt(p) (see _CompiledProtocol), and the
-    final fidelity is the certificate. Contraction mode measures both
-    weights per lane, as _run_compiled does: u beyond their sum aborts the
-    run, and the chosen branch and the wait are renormalised.
+    Unitary mode is the fast path: the maps of cp are isometries, the
+    branch draw is u < cp.p and nothing is renormalised. Contraction mode
+    measures both weights per lane, as _run_compiled does: u beyond their
+    sum aborts the run, and the chosen branch and the wait are renormalised.
 
     A lane at the top origin is always there for the first time: after
     that arrival the walk keeps pos <= 0 until it closes at the lower
     origin, so no rewound flag is needed to apply W^s once.
     """
-    row = np.zeros(width, dtype=bool)
-    h = np.zeros(width, dtype=np.int64)
-    alive = np.ones(width, dtype=bool)
-    psi = (_haar_lanes(rng, width) if cp.psi0 is None
-           else np.repeat(cp.psi0[None, :], width, axis=0))
-    ref = psi @ cp.w_inv_pow.T
-    ref = (ref / np.sqrt(_norm2(ref))[:, None]).conj()
+    psi = (_haar_lanes(rng, width) if cp.psi0 is None else
+           np.repeat(np.concatenate([cp.psi0.real, cp.psi0.imag])[:, None], width, axis=1))
+    ref = (cp.refs @ psi).reshape(2, 4, width)
+    ref /= np.sqrt(_norm2(ref[0]))
+    row, alive = np.zeros(width, dtype=bool), np.ones(width, dtype=bool)
+    h, lane = np.zeros(width, dtype=np.int64), np.arange(width)
     unitary = cp.p is not None
-    n_alive = width
+    n_alive = n_lanes = width
     for t in range(1, cp.m + 1):
-        u = rng.random(width)
-        amps = psi @ cp.branches
+        u = rng.random(width).take(lane)
+        amps = cp.branches @ psi
         if unitary:
             vert, live = u < cp.p, alive
+            psi = np.where(vert, amps[:4], amps[4:])
         else:
-            p_vert, p_horiz = _norm2(amps[:, :2]), _norm2(amps[:, 2:])
-            vert = u < p_vert
-            live = alive & (u < p_vert + p_horiz)
-        psi = np.where(vert[:, None], amps[:, :2], amps[:, 2:])
-        if not unitary:
-            norm = np.sqrt(np.where(vert, p_vert, p_horiz))
-            np.divide(psi, norm[:, None], out=psi, where=live[:, None])
+            p_vert, p_horiz = _norm2(amps[:4]), _norm2(amps[4:])
+            vert, live = u < p_vert, alive & (u < p_vert + p_horiz)
+            psi = np.where(vert, amps[:4], amps[4:])
+            np.divide(psi, np.sqrt(np.where(vert, p_vert, p_horiz)), out=psi, where=live)
         row ^= vert
-        h += ~vert
-        np.negative(h, out=h, where=vert)
+        h = np.where(vert, -h, h + 1)
         at_origin = live & (h == 0)
-        done = at_origin & ~row
-        n_done = int(np.count_nonzero(done))
         arrived = at_origin & row
+        done = at_origin ^ arrived
+        n_done = int(np.count_nonzero(done))
         if arrived.any():  # wait W^s at the top origin
-            if unitary:
-                psi[arrived] = psi[arrived] @ cp.w_pow.T
-            else:
-                waited = psi @ cp.w_pow.T
+            waited = cp.w_pow_real @ psi
+            if not unitary:
                 nrm = np.sqrt(_norm2(waited))
                 live &= ~(arrived & (nrm < 1e-300))
-                np.divide(waited, nrm[:, None], out=psi,
-                          where=(arrived & live)[:, None])
-        n_abort = 0 if unitary else int(np.count_nonzero(alive & ~live))
+                arrived &= live
+                np.divide(waited, nrm, out=waited, where=arrived)
+            psi = np.where(arrived, waited, psi)
         if n_done:
-            overlap = (ref[done] * psi[done]).sum(axis=1)
-            fidelity = overlap.real ** 2 + overlap.imag ** 2
+            fidelity = _norm2((ref.compress(done, axis=2)
+                               * psi.compress(done, axis=1)).sum(axis=1))
             tally.fid_sum += float(fidelity.sum())
             tally.fid_min = min(tally.fid_min, float(fidelity.min()))
+        alive = live & ~done
+        n_end = n_alive - int(np.count_nonzero(alive))  # successes and aborts
         tally.n_success += n_done
-        tally.n_abort += n_abort
-        if n_done or n_abort:
-            tally.hist[t] += n_done + n_abort
-        n_alive -= n_done + n_abort
+        tally.n_abort += n_end - n_done
+        if n_end:
+            tally.hist[t] += n_end
+        n_alive -= n_end
         if not n_alive:
             return
-        alive = live & ~done
+        if 2 * n_alive <= n_lanes:
+            n_lanes >>= (n_lanes // n_alive).bit_length() - 1
+            keep = np.argsort(~alive, kind="stable")[:n_lanes]
+            row, h, alive, lane = (z.take(keep) for z in (row, h, alive, lane))
+            psi, ref = psi.take(keep, axis=1), ref.take(keep, axis=2)
     tally.n_trim_fail += n_alive
     tally.hist[cp.m] += n_alive
 
@@ -360,33 +370,23 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
 def monte_carlo(cfg: ProtocolConfig) -> Statistics:
     """Aggregate cfg.runs protocol runs over cfg.workers derived RNG streams.
 
-    The streams come from walk.streams: spawned from one master
-    SeedSequence and run one after another in this process, so results are
-    bit-identical for a fixed (seed, workers) pair regardless of the host
-    machine's core count.
+    The streams come from walk.streams and run one after another in this
+    process, so results are bit-identical for a fixed (seed, workers) pair
+    on any host, whatever its core count.
 
     With matrices, each stream's runs go through the lane kernel
-    (_run_lanes) in blocks of at most LANES runs (walk.chunks). A block is
-    a structure of arrays with one lane per run: rail, signed position and
-    alive flag, plus an (lanes, 2) complex state and the conjugated
-    reference W^{-s} psi0. The block draws its Haar states and references
-    in bulk, then one rng.random(lanes) per gate; the branch choice, the
-    W^s wait at the top origin and the success test are masked operations
-    over all lanes. Unitary mode takes the kernel's fast path: one
-    state-independent branch probability p, drawn as u < p, with isometric
-    branch maps and no renormalisation. Its states drift from unit norm by
-    about 1e-16/sqrt(p) per vertical step, which shows in the last bits of
-    min_fidelity and mean_fidelity (mean_fidelity can exceed 1 by a few
-    ulps); the fidelity against W^{-s} psi0 stays the certificate.
-    Contraction mode measures the branch weights per state. p_override
-    configs are the classical walk, whose runs succeed when they return to
-    the lower origin within m steps: walk.sample_return_batch samples
-    exactly that.
+    (_run_lanes) in blocks of at most LANES runs (walk.chunks), which shed
+    finished runs without moving any draw. Unitary mode's states drift
+    from unit norm by about 1e-16/sqrt(p) per vertical step, which shows in
+    the last bits of min_fidelity and mean_fidelity (mean_fidelity can
+    exceed 1 by a few ulps); the fidelity against W^{-s} psi0 stays the
+    certificate. p_override configs are the classical walk, whose runs
+    succeed when they return to the lower origin within m steps:
+    walk.sample_return_batch samples exactly that.
 
-    The lane width is a module constant, not an option, because the
-    kernel's working set sets the campaign's peak memory; walk.LANES gives
-    the measured reason. One block per stream would make the amplitude
-    working set grow with the stream.
+    The lane width is a module constant, not an option: it fixes the RNG
+    order, and the kernel's working set sets the campaign's peak memory
+    (walk.LANES gives the measured reason).
     """
     cfg.validate()
     tally = _Tally()

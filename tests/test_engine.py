@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,8 +230,8 @@ def test_classical_campaign_pinned_result():
 
 
 def test_amplitude_campaign_pinned_result():
-    # recorded before the unitary fast path, which kept every branch draw;
-    # only the last bits of the fidelities moved
+    # recorded before the unitary fast path; that path, the real-form states
+    # and the halving blocks kept every draw and moved only fidelity bits
     rng = np.random.default_rng(13)
     v, w = haar_unitary(rng), haar_unitary(rng)
     stats = monte_carlo(ProtocolConfig(v=v, w=w, s=3, m=200, runs=3000, seed=5,
@@ -293,6 +294,20 @@ def test_kernel_fixed_psi0_certificate():
     stats = monte_carlo(cfg)
     assert stats.n_success > 100
     assert stats.min_fidelity >= 1 - 1e-9
+
+
+def test_kernel_working_set_stays_one_block():
+    # blocks of LANES runs bound the kernel's memory whatever the stream's
+    # length; the peak read 0.3 MB on a 2-core host (Python 3.11, numpy 2.4)
+    cfg = ProtocolConfig(v=HADAMARD, w=SIGMA_Z, s=5, m=200, seed=3, runs=2 * 10**4)
+    tracemalloc.start()
+    try:
+        stats = monte_carlo(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.n_runs == cfg.runs
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("runs, workers", [(2 * LANES + 37, 1), (3, 5), (1, 2)])
@@ -394,8 +409,8 @@ def test_fast_path_maps_are_isometries(p_exact):
     # 1e-16/sqrt(1 - p) (horizontal); over 200 such pairs the worst miss
     # was 2.1e-10 at p = 1e-12 and 2.0e-10 at p = 1 - 1e-12
     rng = np.random.default_rng(round(-math.log10(min(p_exact, 1 - p_exact))))
-    psi = rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2))
-    psi /= np.sqrt(_norm2(psi))[:, None]
+    psi = rng.standard_normal((4, 256))  # real-form columns, as the lane kernel holds them
+    psi /= np.sqrt(_norm2(psi))
     half = math.pi / 2
     if p_exact < 0.5:
         angles = [(math.asin(math.sqrt(p_exact)), half, half),
@@ -408,9 +423,9 @@ def test_fast_path_maps_are_isometries(p_exact):
         assert cp.p == pytest.approx(p_exact, rel=1e-6)
         assert branch_prob_invariant(v, w) == cp.p
         assert branch_prob_invariant(v, w) == pytest.approx(p_exact, rel=1e-6)
-        amps = psi @ cp.branches
-        assert np.abs(_norm2(amps[:, :2]) - 1.0).max() <= 1e-9
-        assert np.abs(_norm2(amps[:, 2:]) - 1.0).max() <= 1e-9
+        amps = cp.branches @ psi
+        assert np.abs(_norm2(amps[:4]) - 1.0).max() <= 1e-9
+        assert np.abs(_norm2(amps[4:]) - 1.0).max() <= 1e-9
 
 
 def test_fast_path_fidelity_is_two_sided():
