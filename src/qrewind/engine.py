@@ -272,7 +272,7 @@ def _haar_lanes(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _norm2(amps: np.ndarray) -> np.ndarray:
-    """Squared norm of each column, as of the real-form states of (4, n) psi."""
+    """Squared norm of each column: |psi|^2 of real-form states, |z|^2 of [Re z; Im z]."""
     return (amps * amps).sum(axis=0)
 
 
@@ -292,15 +292,17 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
                tally: _Tally) -> None:
     """Run one block of `width` amplitude-level protocol runs and tally them.
 
-    Each lane holds one run: its rail (row), its signed position h (pos on
-    the lower rail, -pos on the upper one, so a horizontal step adds 1 and
-    a vertical step negates h), its alive flag, its real-form state psi
-    (see _CompiledProtocol) and ref, whose dot products with psi are Re and
-    Im <W^{-s} psi0 | psi>. Gate t applies both branch maps in one real
-    matmul. Once at most half the lanes are live, the block keeps them, in
-    order, in its first width >> k lanes (see walk.LANES); dead lanes among
-    those stay masked. Each gate still draws `width` uniforms and a lane
-    reads the one of its original index, so no draw depends on the halving.
+    Each lane holds one run: its walk node as one integer, node = 2h + row,
+    with row the rail and h the signed position (pos on the lower rail, -pos
+    on the upper one), so a vertical step maps node to 1 - node, a
+    horizontal one to node + 2, and the lower and top origins are 0 and 1;
+    its alive flag; its real-form state psi (see _CompiledProtocol); and
+    ref, whose dot products with psi are Re and Im <W^{-s} psi0 | psi>.
+    Gate t applies both branch maps in one real matmul. Once at most half
+    the lanes are live, the block keeps them, in order, in its first
+    width >> k lanes (see walk.LANES); dead lanes among those stay masked.
+    Each gate still draws `width` uniforms and a lane reads the one of its
+    original index, so no draw depends on the halving.
 
     Unitary mode is the fast path: the maps of cp are isometries, the
     branch draw is u < cp.p and nothing is renormalised. Contraction mode
@@ -315,8 +317,8 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
            np.repeat(np.concatenate([cp.psi0.real, cp.psi0.imag])[:, None], width, axis=1))
     ref = (cp.refs @ psi).reshape(2, 4, width)
     ref /= np.sqrt(_norm2(ref[0]))
-    row, alive = np.zeros(width, dtype=bool), np.ones(width, dtype=bool)
-    h, lane = np.zeros(width, dtype=np.int64), np.arange(width)
+    node, lane = np.zeros(width, dtype=np.int64), np.arange(width)
+    alive = np.ones(width, dtype=bool)
     unitary = cp.p is not None
     n_alive = n_lanes = width
     for t in range(1, cp.m + 1):
@@ -330,11 +332,8 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
             vert, live = u < p_vert, alive & (u < p_vert + p_horiz)
             psi = np.where(vert, amps[:4], amps[4:])
             np.divide(psi, np.sqrt(np.where(vert, p_vert, p_horiz)), out=psi, where=live)
-        row ^= vert
-        h = np.where(vert, -h, h + 1)
-        at_origin = live & (h == 0)
-        arrived = at_origin & row
-        done = at_origin ^ arrived
+        node = np.where(vert, 1 - node, node + 2)
+        done, arrived = live & (node == 0), live & (node == 1)
         n_done = int(np.count_nonzero(done))
         if arrived.any():  # wait W^s at the top origin
             waited = cp.w_pow_real @ psi
@@ -361,7 +360,7 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
         if 2 * n_alive <= n_lanes:
             n_lanes >>= (n_lanes // n_alive).bit_length() - 1
             keep = np.argsort(~alive, kind="stable")[:n_lanes]
-            row, h, alive, lane = (z.take(keep) for z in (row, h, alive, lane))
+            node, alive, lane = node.take(keep), alive.take(keep), lane.take(keep)
             psi, ref = psi.take(keep, axis=1), ref.take(keep, axis=2)
     tally.n_trim_fail += n_alive
     tally.hist[cp.m] += n_alive

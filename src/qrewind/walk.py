@@ -35,15 +35,21 @@ class Row(Enum):
 MAX_STREAMS = 1024  # bound on workers: SeedSequence.spawn allocates per stream
 
 # Runs advanced together. engine.monte_carlo's amplitude kernel works in
-# blocks of at most LANES runs, and _ladder_mc compacts finished runs away
-# only while at least LANES stay alive; below that they stay in place, masked.
-# The floor is there for memory: numpy keeps up to 7 freed data buffers of
-# each size under 1 KiB for reuse, so arrays that shrink through every size
-# below 1024 lanes leave that cache filled and grow the resident set. On a
-# 2-core VM (Python 3.11.7, numpy 2.4.6), freeing seven bool arrays of each
-# size 1..1023 grew the RSS by 3.5 MB and sizes 1024..2046 by 0; 400
-# classical campaigns of 2000 runs, m = 200 and 2 streams grew it by 2.9 MB
-# when compacting all the way down and by 0.08 MB with the floor.
+# blocks of at most LANES runs, whose width fixes the order of the RNG
+# draws. A block sheds finished runs by halving: once at most half of its
+# lanes are live, it keeps them in its first width >> k lanes. _ladder_mc
+# compacts finished runs away only while at least LANES stay alive; below
+# that they stay in place, masked. Both rules are there for memory: numpy
+# keeps up to 7 freed data buffers of each size under 1 KiB for reuse, so
+# arrays that shrink through every size below 1024 lanes leave that cache
+# filled and grow the resident set. On a 2-core VM (Python 3.11.7, numpy
+# 2.4.6), freeing seven bool arrays of each size 1..1023 grew the RSS by
+# 3.5 MB and sizes 1024..2046 by 0; 400 classical campaigns of 2000 runs,
+# m = 200 and 2 streams grew it by 2.9 MB when compacting all the way down
+# and by 0.08 MB with the floor. Halving visits only the sizes width >> k,
+# about ten per width, so the buffers it leaves cached stay bounded: 480
+# jobs of the bench's mc-protocol workload, results discarded, peaked at
+# 38.7 MB of RSS against 38.3 MB with blocks that never shrink.
 LANES = 1024
 
 # Runs of one stream that _ladder_mc walks at a time. A lane costs about
