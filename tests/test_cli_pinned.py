@@ -1,10 +1,12 @@
-"""Pinned bytes of the analytic CLI outputs.
+"""Pinned bytes of the CLI's file and stdout outputs.
 
-dist (theorem and dp), curve and required-m are deterministic functions of
-their arguments, so their outputs are held here byte for byte: a refactor
-that keeps behaviour must keep these digests. simulate and dist --method mc
-are left out; they depend on RNG streams (and simulate on BLAS), and
-criterion 9 and test_amplitude_campaign_pinned_result guard them.
+dist (theorem, dp and mc), curve and required-m are deterministic functions
+of their arguments (dist --method mc of its seed and workers too), so their
+outputs are held here byte for byte: a refactor that keeps behaviour must
+keep these digests. The mc cases walk streams that stay above walk.LANES
+live runs, that fall below it, and that start below it. simulate is left
+out; its fidelities depend on BLAS, and criterion 9 and the pinned
+campaigns of test_engine guard it.
 """
 import hashlib
 
@@ -25,10 +27,34 @@ FILE_DIGESTS = {
         "b6fe263bec489cd7f840b943efd53302d0ac8478d7444f9a9f88c7aaa04a7e9c",
     ("dist", "--p", "97/307", "--tmax", "41", "--exact", "--method", "dp"):
         "b6fe263bec489cd7f840b943efd53302d0ac8478d7444f9a9f88c7aaa04a7e9c",
+    # streams of 200000 runs: finished runs are compacted away at every step
+    ("dist", "--p", "0.3", "--tmax", "61", "--method", "mc", "--runs", "400000",
+     "--seed", "7", "--workers", "2"):
+        "09023ebc0c3a0ca158baf9efa0180b94f0e978e92c72529ead1eb2e6b2f6d874",
+    # streams of 4000 runs: compacted, then below LANES live runs
+    ("dist", "--p", "0.3", "--tmax", "61", "--method", "mc", "--runs", "8000",
+     "--seed", "7", "--workers", "2"):
+        "1237dbf87f23337ea862afaf62fa21a667dd03317fea21be9c0e80c77c61726e",
+    # streams of 750 runs: below LANES from the first step
+    ("dist", "--p", "0.3", "--tmax", "61", "--method", "mc", "--runs", "1500",
+     "--seed", "7", "--workers", "2"):
+        "5f9e47bc93c2c3e7bd402e62e57ea6db0818b27c42920c8fd5feb5b073247368",
 }
 
 CURVE_CSV_DIGEST = "bb462792bba5a022417871341fbe76290eb65d4c22c4de353d3e25c6edb10380"
 CURVE_SVG_DIGEST = "f66840a55164c54de192d35732f2918642d76628fae47c4acc6392122fd56ae6"
+
+# (csv, svg) digests of curve --p P --mmax M: the bench's 10000-point
+# polylines; p = 0 with one point, where both axes fall back to [v, v + 1];
+# p = 1, whose full-return curve steps from 0 to 1 at m = 2
+CURVE_DIGESTS = {
+    ("97/307", "10000"): ("03904faeca2bf3189a7cfad668402352134694b8e986c65851cf0e5a02ef4d45",
+                          "b58968bbb12ae9849f9dcb3d8ae3a459dd54f1e53bfead2becf7aaa1c033551c"),
+    ("0", "1"): ("5430c981321621096a29e12981ac4ca1db6014e7b5ab53b62773d22b3e3fa218",
+                 "02eed75222ded8379925b5613b9fba23c9218e06181edffeaa07ffab297d42ec"),
+    ("1", "7"): ("81e25e64ec7619a2488ff71ac5ece921f895e7fefc0fed2f2bc19aed5549e555",
+                 "5178257a7342670d39372f16635316547e47a1407e5b8cd1b813d9233c2e658e"),
+}
 
 REQUIRED_M_STDOUT = {
     ("--pmin", "0.005", "--q", "0.9495"):
@@ -63,6 +89,14 @@ def test_curve_bytes_pinned(tmp_path, capsys):
     assert capsys.readouterr().out == f"wrote {csv}\nwrote {svg}\n"
     assert _digest(csv) == CURVE_CSV_DIGEST
     assert _digest(svg) == CURVE_SVG_DIGEST
+
+
+@pytest.mark.parametrize("p, mmax", list(CURVE_DIGESTS))
+def test_curve_long_and_flat_bytes_pinned(tmp_path, p, mmax):
+    csv, svg = tmp_path / "curve.csv", tmp_path / "curve.svg"
+    assert cli.main(["curve", "--p", p, "--mmax", mmax,
+                     "--out", str(csv), "--svg", str(svg)]) == 0
+    assert (_digest(csv), _digest(svg)) == CURVE_DIGESTS[p, mmax]
 
 
 @pytest.mark.parametrize("flags", list(REQUIRED_M_STDOUT))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -191,6 +192,35 @@ def test_sampler_walks_streams_in_chunks(monkeypatch, sampler, dp):
     same = sampler(0.4, runs=runs, cap=cap, seed=5, workers=2)
     assert same.counts.tolist() == whole.counts.tolist()
     assert same.timeouts == whole.timeouts
+
+
+@pytest.mark.parametrize("sampler, counts", [
+    (sample_first_passage_batch, {1: 296, 125: 1, 185: 1, 507: 1, 1347: 1}),
+    (sample_return_batch, {2: 297, 24: 1, 420: 1, 1348: 1}),
+])
+def test_chunks_that_finish_before_the_cap_pinned(monkeypatch, sampler, counts):
+    # one stream of three chunks of 100 runs; at p near 1 nearly every run
+    # ends at its first chance, and at seed 5 every chunk's last run ends
+    # before the cap, so the next chunk draws from where that one stopped
+    monkeypatch.setattr(walk, "CHUNK", 100)
+    sample = sampler(0.99, runs=300, cap=2000, seed=5, workers=1)
+    assert {t: int(c) for t, c in enumerate(sample.counts) if c} == counts
+    assert sample.timeouts == 0
+
+
+def test_batch_sampler_memory_peak():
+    # streams of 200000 runs, compacted at every step with hits; the peak
+    # was 4004459 bytes when positions were int64 and every step negated
+    # them through a masked ufunc
+    sample_first_passage_batch(0.3, 1000, 21, 5, 2)  # first-call allocations
+    tracemalloc.start()
+    try:
+        sample = sample_first_passage_batch(0.3, 4 * 10**5, 21, 5, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(sample.counts.sum()) + sample.timeouts == 4 * 10**5
+    assert peak <= 4004459
 
 
 def _vector_residual(a, b):
