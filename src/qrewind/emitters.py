@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import numpy as np
+
 from .analytics import HittingDist, SuccessCurve
 from .engine import Statistics
 
@@ -70,10 +72,12 @@ def statistics_json(stats: Statistics) -> str:
 def _svg_chart(series: list[tuple[str, list[float], list[float]]],
                x_label: str, y_label: str) -> str:
     """Line chart: series is a list of (name, xs, ys) triples."""
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    x_min, x_max = (min(xs_all), max(xs_all)) if xs_all else (0.0, 1.0)
-    y_min, y_max = (min(ys_all), max(ys_all)) if ys_all else (0.0, 1.0)
+    series = [(name, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+              for name, xs, ys in series]
+    xs_all = np.concatenate([xs for _, xs, _ in series] + [np.empty(0)])
+    ys_all = np.concatenate([ys for _, _, ys in series] + [np.empty(0)])
+    x_min, x_max = (float(xs_all.min()), float(xs_all.max())) if xs_all.size else (0.0, 1.0)
+    y_min, y_max = (float(ys_all.min()), float(ys_all.max())) if ys_all.size else (0.0, 1.0)
     if x_max == x_min:
         x_max = x_min + 1.0
     if y_max == y_min:
@@ -81,6 +85,7 @@ def _svg_chart(series: list[tuple[str, list[float], list[float]]],
     plot_w = SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
+    # px and py map a scalar or an array, with the same float64 steps
     def px(x):
         return _MARGIN_LEFT + (x - x_min) / (x_max - x_min) * plot_w
 
@@ -112,7 +117,8 @@ def _svg_chart(series: list[tuple[str, list[float], list[float]]],
                  f'{_MARGIN_TOP + plot_h / 2:.1f})">{y_label}</text>')
     for i, (name, xs, ys) in enumerate(series):
         color = _CURVE_COLORS[i % len(_CURVE_COLORS)]
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        coords = np.column_stack((px(xs), py(ys))).ravel().tolist()
+        points = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(coords)
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{points}"/>')
         parts.append(f'<text x="{_MARGIN_LEFT + plot_w - 8}" '
@@ -123,9 +129,8 @@ def _svg_chart(series: list[tuple[str, list[float], list[float]]],
 
 
 def success_curve_svg(curve: SuccessCurve) -> str:
-    ms = [float(m) for m in curve.m]
-    return _svg_chart([("prob_commutator", ms, curve.prob_commutator),
-                       ("prob_full", ms, curve.prob_full)],
+    return _svg_chart([("prob_commutator", curve.m, curve.prob_commutator),
+                       ("prob_full", curve.m, curve.prob_full)],
                       "m", "success probability")
 
 

@@ -298,16 +298,21 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
     horizontal one to node + 2, and the lower and top origins are 0 and 1;
     its alive flag; its real-form state psi (see _CompiledProtocol); and
     ref, whose dot products with psi are Re and Im <W^{-s} psi0 | psi>.
-    Gate t applies both branch maps in one real matmul. Once at most half
-    the lanes are live, the block keeps them, in order, in its first
-    width >> k lanes (see walk.LANES); dead lanes among those stay masked.
-    Each gate still draws `width` uniforms and a lane reads the one of its
-    original index, so no draw depends on the halving.
+    Gate t applies both branch maps in one real matmul. row + pos has the
+    parity of t (see walk.LANES), so odd gates test only for arrivals at
+    the top origin and even gates only for returns to the lower one. Once
+    at most half the lanes are live, the block keeps them, in order, in its
+    first width >> k lanes, the halving rule that walk._ladder_mc shares;
+    dead lanes among those stay masked. Each gate still draws `width`
+    uniforms and a lane reads the one of its original index, so no draw
+    depends on the halving.
 
     Unitary mode is the fast path: the maps of cp are isometries, the
-    branch draw is u < cp.p and nothing is renormalised. Contraction mode
-    measures both weights per lane, as _run_compiled does: u beyond their
-    sum aborts the run, and the chosen branch and the wait are renormalised.
+    branch draw is u < cp.p and nothing is renormalised, so no run ends at
+    an odd gate and those gates skip the tally. Contraction mode measures
+    both weights per lane, as _run_compiled does: u beyond their sum aborts
+    the run at any gate, and the chosen branch and the wait are
+    renormalised, dividing live lanes only (the others by 1.0).
 
     A lane at the top origin is always there for the first time: after
     that arrival the walk keeps pos <= 0 until it closes at the lower
@@ -331,24 +336,30 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
             p_vert, p_horiz = _norm2(amps[:4]), _norm2(amps[4:])
             vert, live = u < p_vert, alive & (u < p_vert + p_horiz)
             psi = np.where(vert, amps[:4], amps[4:])
-            np.divide(psi, np.sqrt(np.where(vert, p_vert, p_horiz)), out=psi, where=live)
+            psi /= np.sqrt(np.where(live, np.where(vert, p_vert, p_horiz), 1.0))
         node = np.where(vert, 1 - node, node + 2)
-        done, arrived = live & (node == 0), live & (node == 1)
-        n_done = int(np.count_nonzero(done))
-        if arrived.any():  # wait W^s at the top origin
-            waited = cp.w_pow_real @ psi
-            if not unitary:
-                nrm = np.sqrt(_norm2(waited))
-                live &= ~(arrived & (nrm < 1e-300))
-                arrived &= live
-                np.divide(waited, nrm, out=waited, where=arrived)
-            psi = np.where(arrived, waited, psi)
-        if n_done:
-            fidelity = _norm2((ref.compress(done, axis=2)
-                               * psi.compress(done, axis=1)).sum(axis=1))
-            tally.fid_sum += float(fidelity.sum())
-            tally.fid_min = min(tally.fid_min, float(fidelity.min()))
-        alive = live & ~done
+        if t & 1:  # arrivals only
+            arrived = live & (node == 1)
+            if arrived.any():  # wait W^s at the top origin
+                waited = cp.w_pow_real @ psi
+                if not unitary:
+                    nrm = np.sqrt(_norm2(waited))
+                    live &= ~(arrived & (nrm < 1e-300))
+                    arrived &= live
+                    waited /= np.where(arrived, nrm, 1.0)
+                psi = np.where(arrived, waited, psi)
+            if unitary:  # no run ends
+                continue
+            alive, n_done = live, 0
+        else:  # completions only
+            done = live & (node == 0)
+            n_done = int(np.count_nonzero(done))
+            if n_done:
+                fidelity = _norm2((ref.compress(done, axis=2)
+                                   * psi.compress(done, axis=1)).sum(axis=1))
+                tally.fid_sum += float(fidelity.sum())
+                tally.fid_min = min(tally.fid_min, float(fidelity.min()))
+            alive = live & ~done
         n_end = n_alive - int(np.count_nonzero(alive))  # successes and aborts
         tally.n_success += n_done
         tally.n_abort += n_end - n_done

@@ -36,28 +36,34 @@ MAX_STREAMS = 1024  # bound on workers: SeedSequence.spawn allocates per stream
 
 # Runs advanced together. engine.monte_carlo's amplitude kernel works in
 # blocks of at most LANES runs, whose width fixes the order of the RNG
-# draws. A block sheds finished runs by halving: once at most half of its
-# lanes are live, it keeps them in its first width >> k lanes. _ladder_mc
-# compacts finished runs away only while at least LANES stay alive; below
-# that they stay in place, masked. Both rules are there for memory: numpy
-# keeps up to 7 freed data buffers of each size under 1 KiB for reuse, so
-# arrays that shrink through every size below 1024 lanes leave that cache
-# filled and grow the resident set. On a 2-core VM (Python 3.11.7, numpy
-# 2.4.6), freeing seven bool arrays of each size 1..1023 grew the RSS by
-# 3.5 MB and sizes 1024..2046 by 0; 400 classical campaigns of 2000 runs,
-# m = 200 and 2 streams grew it by 2.9 MB when compacting all the way down
-# and by 0.08 MB with the floor. Halving visits only the sizes width >> k,
-# about ten per width, so the buffers it leaves cached stay bounded: 480
-# jobs of the bench's mc-protocol workload, results discarded, peaked at
-# 38.7 MB of RSS against 38.3 MB with blocks that never shrink.
+# draws. Both lane kernels test for finished runs only on steps of the
+# right parity: row + pos has the parity of the step count t, so the upper
+# origin is reached only at odd t and the lower one only at even t. Below
+# LANES lanes both shed finished runs by one rule, halving: once at most
+# half of a block's lanes are live, it keeps them, in order, in its first
+# width >> k lanes. Each step still draws `width` uniforms and a lane reads
+# the one of its original index, so no draw depends on the shedding.
+# _ladder_mc compacts finished runs away outright while at least LANES
+# stay live, and its `width` is the lane count when it went below. The
+# floor and the halving are there for memory: numpy keeps up to 7 freed
+# data buffers of each size under 1 KiB for reuse, so arrays that shrink
+# through every size below 1024 lanes leave that cache filled and grow the
+# resident set. On a 2-core VM (Python 3.11.7, numpy 2.4.6), freeing seven
+# bool arrays of each size 1..1023 grew the RSS by 3.5 MB and sizes
+# 1024..2046 by 0; 400 classical campaigns of 2000 runs, m = 200 and 2
+# streams grew it by 2.9 MB when compacting all the way down and by
+# 0.08 MB with the floor. Halving visits only the sizes width >> k, about
+# ten per width, so the buffers it leaves cached stay bounded: 480 jobs of
+# the bench's mc-protocol workload, results discarded, peaked at 38.7 MB
+# of RSS against 38.3 MB with blocks that never shrink.
 LANES = 1024
 
-# Runs of one stream that _ladder_mc walks at a time. A lane costs about
-# 25 bytes at the peak of a step (rail, position, live mask, the step's
-# uniforms and the masks derived from them; tracemalloc gave 21 to 25 bytes
-# per run at 2e5 and 4e5 runs), so a chunk bounds the sampler's working set
-# near 26 MB whatever the run count. A module constant, not an option, for
-# the same reason as LANES.
+# Runs of one stream that _ladder_mc walks at a time. A lane costs 15 to
+# 18 bytes at the peak of a step (its int32 position, the step's uniforms
+# and the masks derived from them; tracemalloc gave 15.4 bytes per run
+# for first passages and 17.9 for returns at 2e5 and 4e5 runs), so a chunk
+# bounds the sampler's working set near 19 MB whatever the run count. A
+# module constant, not an option, for the same reason as LANES.
 CHUNK = 2**20
 
 
@@ -98,48 +104,73 @@ class FirstPassageSample:
         return self.counts / self.runs
 
 
+def _position_dtype(cap: int):
+    """Integer type of the signed positions of a walk of at most cap steps.
+
+    |h| <= t <= cap, so int32 holds them unless cap reaches 2^31.
+    """
+    return np.int32 if cap <= np.iinfo(np.int32).max else np.int64
+
+
 def _ladder_mc(p, runs: int, cap: int, seed: int, workers: int,
                target_row: Row) -> FirstPassageSample:
     """Monte Carlo twin of _ladder_dp: sampled first hits of an origin.
 
     Each stream of streams(seed, runs, workers) walks its runs in chunks of
     at most CHUNK, one after another from the stream's generator. A chunk
-    walks its runs together as lanes: rail (True on the upper one), signed
-    position h (pos on the lower rail, -pos on the upper one, so a
-    horizontal step adds 1 and a vertical step negates h) and a live mask.
-    Step t draws one rng.random(lanes) and counts the live lanes at the
-    origin of target_row into counts[t]. After a step with hits the
-    finished lanes are compacted away while at least LANES stay live (see
-    LANES); below that they stay in place, masked. Runs still live after
-    step cap are timeouts. The p = 0 walk drifts right forever, so every
-    run times out. A stream of at most CHUNK runs is one chunk, so its
-    draws, and the sample, do not depend on CHUNK.
+    walks its runs together as lanes, each holding its signed position h
+    (pos on the lower rail, -pos on the upper one): a horizontal step adds
+    1 to h and a vertical step negates it, applied as one multiply by
+    +-1. The rail need not be stored, because row + pos has the parity of
+    the step count t: a lane with h = 0 sits at the upper origin at odd t
+    and at the lower one at even t. So only steps of the target's parity
+    test for hits, and step t counts the live lanes with h = 0 into
+    counts[t]. Finished lanes are compacted away while at least LANES stay
+    live, and each step draws one uniform per lane. Below that, the chunk
+    sheds them by the halving rule of engine._run_lanes (see LANES): each
+    step draws as many uniforms as the chunk had lanes when it went below,
+    and a lane reads the one of its index then. Runs still live after step
+    cap are timeouts. The p = 0 walk drifts right forever, so every run
+    times out. A stream of at most CHUNK runs is one chunk, so its draws,
+    and the sample, do not depend on CHUNK.
     """
     p = float(as_prob(p))
-    upper = target_row is Row.UPPER
+    parity = 1 if target_row is Row.UPPER else 0
+    dtype = _position_dtype(cap)
     counts = np.zeros(cap + 1, dtype=np.int64)
     timeouts = 0
     for rng, n_live in chunks(seed, runs, workers, CHUNK):
-        row = np.zeros(n_live, dtype=bool)
-        h = np.zeros(n_live, dtype=np.int64)
-        live = np.ones(n_live, dtype=bool)
+        h = np.zeros(n_live, dtype=dtype)
+        width, lane, live = n_live, None, None  # lane, live: set below LANES
         for t in range(1, cap + 1):
+            vert = (rng.random(width) if lane is None
+                    else rng.random(width).take(lane)) < p
+            h += ~vert
+            h *= 1 - 2 * vert.view(np.int8)
+            if t & 1 != parity:
+                continue
+            hit = h == 0
+            if live is not None:
+                hit &= live
+            n_hit = int(np.count_nonzero(hit))
+            if not n_hit:
+                continue
+            counts[t] += n_hit
+            n_live -= n_hit
             if not n_live:
                 break
-            vert = rng.random(row.size) < p
-            row ^= vert
-            h += ~vert
-            np.negative(h, out=h, where=vert)
-            hit = live & (h == 0) & (row == upper)
-            n_hit = int(np.count_nonzero(hit))
-            if n_hit:
-                counts[t] += n_hit
-                n_live -= n_hit
-                if n_live >= LANES:
-                    keep = ~hit
-                    row, h, live = row[keep], h[keep], live[keep]
-                else:
-                    live &= ~hit
+            if live is None and n_live >= LANES:
+                h = h.compress(~hit)
+                width = h.size
+                continue
+            if live is None:
+                live, lane = ~hit, np.arange(width)
+            else:
+                live &= ~hit
+            if 2 * n_live <= h.size:
+                n_lanes = h.size >> (h.size // n_live).bit_length() - 1
+                keep = np.argsort(~live, kind="stable")[:n_lanes]
+                h, live, lane = h.take(keep), live.take(keep), lane.take(keep)
         timeouts += n_live
     return FirstPassageSample(counts=counts, timeouts=timeouts, runs=runs)
 

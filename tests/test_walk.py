@@ -211,7 +211,7 @@ def test_chunks_that_finish_before_the_cap_pinned(monkeypatch, sampler, counts):
 def test_batch_sampler_memory_peak():
     # streams of 200000 runs, compacted at every step with hits; the peak
     # was 4004459 bytes when positions were int64 and every step negated
-    # them through a masked ufunc
+    # them through a masked ufunc (3083800 with int32 positions)
     sample_first_passage_batch(0.3, 1000, 21, 5, 2)  # first-call allocations
     tracemalloc.start()
     try:
@@ -221,6 +221,13 @@ def test_batch_sampler_memory_peak():
         tracemalloc.stop()
     assert int(sample.counts.sum()) + sample.timeouts == 4 * 10**5
     assert peak <= 4004459
+
+
+def test_position_dtype_fits_the_cap():
+    # |h| <= t <= cap: int32 up to cap = 2^31 - 1, int64 from 2^31 on
+    assert walk._position_dtype(1) is np.int32
+    assert walk._position_dtype(2**31 - 1) is np.int32
+    assert walk._position_dtype(2**31) is np.int64
 
 
 def _vector_residual(a, b):
