@@ -52,10 +52,12 @@ MAX_STREAMS = 1024  # bound on workers: SeedSequence.spawn allocates per stream
 # bool arrays of each size 1..1023 grew the RSS by 3.5 MB and sizes
 # 1024..2046 by 0; 400 classical campaigns of 2000 runs, m = 200 and 2
 # streams grew it by 2.9 MB when compacting all the way down and by
-# 0.08 MB with the floor. Halving visits only the sizes width >> k, about
-# ten per width, so the buffers it leaves cached stay bounded: 480 jobs of
-# the bench's mc-protocol workload, results discarded, peaked at 38.7 MB
-# of RSS against 38.3 MB with blocks that never shrink.
+# 0.08 MB with the floor, and by 0 with halving below the floor in place
+# of masking (peak 35.4 MB either way). Halving visits only the sizes
+# width >> k, about ten per width, so the buffers it leaves cached stay
+# bounded: 480 jobs of the bench's mc-protocol workload, results
+# discarded, peaked at 38.7 MB of RSS against 38.3 MB with blocks that
+# never shrink.
 LANES = 1024
 
 # Runs of one stream that _ladder_mc walks at a time. A lane costs 15 to
