@@ -277,6 +277,32 @@ def test_required_m_is_the_streamed_profile(p_min):
         assert ret_cum[plan.m - 2] < q
 
 
+# even budgets at the edges of required_m's first two coefficient blocks
+# (256 coefficients, then 512): the first, the last of block one, and the
+# first of block two
+REQUIRED_M_EDGES = (2, 514, 516)
+
+
+@pytest.mark.parametrize("p_min", [0.005, 0.05, 0.3])
+@pytest.mark.parametrize("m", REQUIRED_M_EDGES)
+def test_required_m_at_block_edges(p_min, m):
+    ret_cum = cumulative_profile(p_min, m)[1]
+    plan = required_m(p_min, float(ret_cum[m]))
+    assert (plan.m, plan.worst_grid_prob) == (m, ret_cum[m])
+
+
+@pytest.mark.parametrize("cap", [300, 514, 515, 516, 1001])
+def test_required_m_cap_inside_a_block(monkeypatch, cap):
+    # a cap inside a block ends the search at the cap, odd caps included
+    p_min = 0.05
+    target = cumulative_profile(p_min, 1002)[1]
+    monkeypatch.setattr(analytics, "REQUIRED_M_CAP", cap)
+    last = cap - cap % 2
+    assert required_m(p_min, float(target[last])).m == last
+    with pytest.raises(ValueError, match=f"no gate budget up to {cap} reaches"):
+        required_m(p_min, float(target[last + 2]))
+
+
 def _grid_required_m(p_min, q, dt: float | None = None, tau: float | None = None,
                      s: int = 0, grid_step: float = 0.001,
                      m_cap: int = REQUIRED_M_CAP) -> TrimPlan:

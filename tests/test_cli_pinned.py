@@ -56,10 +56,18 @@ CURVE_DIGESTS = {
                  "5178257a7342670d39372f16635316547e47a1407e5b8cd1b813d9233c2e658e"),
 }
 
+# the three p_min strata of the benchmark's required-m jobs, an exact first
+# term, and the running-time bound
 REQUIRED_M_STDOUT = {
     ("--pmin", "0.005", "--q", "0.9495"):
         "m = 198456\n"
         "worst grid point: p = 0.0050000000000000001, success = 0.94950002156649882\n",
+    ("--pmin", "0.016", "--q", "0.95"):
+        "m = 62566\n"
+        "worst grid point: p = 0.016, success = 0.95000021729198036\n",
+    ("--pmin", "0.05", "--q", "0.9505"):
+        "m = 19722\n"
+        "worst grid point: p = 0.050000000000000003, success = 0.95050073736097307\n",
     ("--pmin", "1e-3", "--q", "1e-6"):
         "m = 2\n"
         "worst grid point: p = 0.001, success = 9.9999999999999995e-07\n",
