@@ -16,7 +16,6 @@ whose square-root factor satisfies a four-term holonomic recurrence.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -27,6 +26,9 @@ import numpy as np
 
 GENFUNC_SERIES_GUARD = 10**3
 REQUIRED_M_CAP = 10**7
+# required_m's coefficient blocks: the first size, doubled per block up to the last
+REQUIRED_M_BLOCK = 256
+REQUIRED_M_BLOCK_MAX = 8192
 
 
 def is_rational_prob(p) -> bool:
@@ -129,20 +131,25 @@ def return_pmf(p, t: int):
 
 # ── Stable float series (product form of the generating function) ────────
 
-def _sqrt_coeffs(c2: float):
-    """Yield the even coefficients h_0, h_2, h_4, ... of
-    sqrt((1-a^2)(1-c^2 a^2)) without end, given c2 = c^2 = (2p-1)^2.
+def _sqrt_coeffs(c2: float, m: int, n: int, h4: float, h2: float) -> np.ndarray:
+    """Even coefficients h_{m-4}, h_{m-2}, h_m, ..., h_{m+2n-2} of
+    sqrt((1-a^2)(1-c^2 a^2)), given c2 = c^2 = (2p-1)^2, the seeds
+    h4 = h_{m-4} and h2 = h_{m-2}, and n new coefficients to run.
 
     From 2 g h' = g' h with the quartic g = 1 - (1+c^2) a^2 + c^2 a^4 one
     gets
-        h_M = ((1+c^2)(M-3) h_{M-2} - c^2 (M-6) h_{M-4}) / M.
+        h_M = ((1+c^2)(M-3) h_{M-2} - c^2 (M-6) h_{M-4}) / M,
+    run on float counters in that operation order. h_0 = 1 and h_{-2} = 0
+    seed m = 2; a later block continues from the last two of the previous.
     """
-    h4, h2 = 0.0, 1.0  # h_{M-4}, h_{M-2}; h_{-2} = 0 seeds M = 2
-    yield h2
-    for m in itertools.count(2, 2):
-        h = ((1.0 + c2) * (m - 3) * h2 - c2 * (m - 6) * h4) / m
-        yield h
-        h4, h2 = h2, h
+    a = 1.0 + c2
+    out = [h4, h2] + [0.0] * n
+    mf = float(m)
+    for i in range(2, n + 2):
+        h4, h2 = h2, (a * (mf - 3.0) * h2 - c2 * (mf - 6.0) * h4) / mf
+        out[i] = h2
+        mf += 2.0
+    return np.array(out)
 
 
 def _reject_underflowing_square(p: float):
@@ -158,8 +165,9 @@ def _hitting_profiles(p, t_max: int) -> np.ndarray:
 
     The first terms are exact, P(T1 = 1) = p and P(T1 + T2 = 2) = p^2 (their
     product forms (c - h_2) / 2p and (c^2 - h_4 - c h_2) / 2p^2 lose their
-    digits to cancellation as p shrinks). One pass of _sqrt_coeffs gives
-    h_0..h_{t_max+2}; with c = 2p - 1 the later terms are
+    digits to cancellation as p shrinks). One block of _sqrt_coeffs from the
+    seeds h_{-2} = 0 and h_0 = 1 gives h_0..h_{t_max+2}; with c = 2p - 1 the
+    later terms are
         P(T1 = t) = -h_{t+1} / 2p  (odd t >= 3),
         P(T1 + T2 = t) = -(h_{t+2} + c h_t) / 2p^2  (even t >= 4),
     each negation taken as 0 - x, so a zero coefficient gives +0. ValueError
@@ -175,7 +183,7 @@ def _hitting_profiles(p, t_max: int) -> np.ndarray:
     if p == 0.0 or t_max < 1:
         return out
     c = 2.0 * p - 1.0
-    h = np.fromiter(_sqrt_coeffs(c * c), float, count=t_max // 2 + 2)  # h_{2k} at k
+    h = _sqrt_coeffs(c * c, 2, t_max // 2 + 1, 0.0, 1.0)[1:]  # h_{2k} at k
     fp, ret = out
     fp[1] = p
     fp[3::2] = (0.0 - h[2:(t_max + 1) // 2 + 1]) / (2.0 * p)
@@ -289,8 +297,12 @@ def required_m(p_min, q, dt: float | None = None, tau: float | None = None,
     T' = m (dt + tau) + s dt is reported too. ValueError when no even
     budget up to REQUIRED_M_CAP (read at call time) reaches q.
 
-    The running sum streams _hitting_profiles' return row in its operation
-    order, stopping at the first budget that reaches q in O(1) memory.
+    The running sum takes _hitting_profiles' return row in its operation
+    order, block by block: each block runs REQUIRED_M_BLOCK coefficients
+    (doubling per block up to REQUIRED_M_BLOCK_MAX), adds their terms to the
+    carried sum with one sequential cumsum and stops at the first budget that
+    reaches q. It holds one block of at most REQUIRED_M_BLOCK_MAX
+    coefficients at a time.
     """
     p_min = float(p_min)
     q = float(q)
@@ -307,22 +319,30 @@ def required_m(p_min, q, dt: float | None = None, tau: float | None = None,
     c = 2.0 * p_min - 1.0
     c2 = c * c
     denom = 2.0 * p_min * p_min
-    coeffs = _sqrt_coeffs(c2)
-    next(coeffs)                                # h_0
-    h_prev, h = next(coeffs), next(coeffs)      # h_2, h_4
-    cum = p_min * p_min                         # P(T1 + T2 = 2)
-    # each step pairs a budget with h_{budget + 4}
-    for budget, h_next in zip(range(2, REQUIRED_M_CAP + 1, 2), coeffs):
-        if cum >= q:
+    h4, h2 = _sqrt_coeffs(c2, 2, 2, 0.0, 1.0)[2:].tolist()  # h_2, h_4
+    cums = np.array([p_min * p_min])        # P(T1 + T2 <= 2)
+    budget = 2                              # the budget of cums[0]
+    size = REQUIRED_M_BLOCK
+    while True:
+        hit = np.flatnonzero(cums >= q)
+        if hit.size:
+            k = int(hit[0])
+            m = budget + 2 * k
             t_prime = None
             if dt is not None and tau is not None:
-                t_prime = budget * (dt + tau) + s * dt
-            return TrimPlan(m=budget, worst_grid_p=p_min, worst_grid_prob=cum,
+                t_prime = m * (dt + tau) + s * dt
+            return TrimPlan(m=m, worst_grid_p=p_min, worst_grid_prob=float(cums[k]),
                             t_prime=t_prime)
-        h_prev, h = h, h_next
-        cum += -(h + c * h_prev) / denom        # P(T1 + T2 = budget + 2)
-    raise ValueError(f"no gate budget up to {REQUIRED_M_CAP} reaches success {q} "
-                     f"for p_min = {p_min}")
+        budget += 2 * (cums.size - 1)
+        n = min(size, (REQUIRED_M_CAP - budget) // 2)
+        if n < 1:
+            raise ValueError(f"no gate budget up to {REQUIRED_M_CAP} reaches success "
+                             f"{q} for p_min = {p_min}")
+        # h_budget .. h_{budget + 2n + 2}; P(T1 + T2 = t) for t = budget + 2 .. budget + 2n
+        h = _sqrt_coeffs(c2, budget + 4, n, h4, h2)
+        h4, h2 = h[-2:].tolist()
+        cums = np.cumsum(np.concatenate((cums[-1:], -(h[2:] + c * h[1:-1]) / denom)))
+        size = min(2 * size, REQUIRED_M_BLOCK_MAX)
 
 
 # ── Distribution containers ──────────────────────────────────────────────

@@ -7,6 +7,12 @@ with linear axes and one polyline per curve column. Run statistics go to
 JSON with the field names of Statistics.to_dict. Floats print with 17
 significant digits; rational-backed values can be written as num/den
 strings (exact=True).
+
+Every float column of a CSV and every polyline coordinate goes through
+format_column, which formats a run of bit-equal neighbours once: the
+cumulative curve columns hold each value for two rows, and the SVG's x
+texts are shared by its polylines. The bytes are those of formatting each
+value on its own.
 """
 from __future__ import annotations
 
@@ -31,6 +37,25 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def format_column(values, spec: str) -> list[str]:
+    """spec % x for every x of a float column, formatting each run of
+    bit-equal neighbours once.
+
+    Runs are found on the int64 view, so -0.0 and 0.0 stay apart and NaNs
+    of one bit pattern join. The cumulative curve columns repeat every other
+    row (T1 has odd support, T1 + T2 even support), which halves their work.
+    """
+    x = np.asarray(values, dtype=float)
+    if not x.size:
+        return []
+    bits = x.view(np.int64)
+    starts = np.empty(x.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    texts = np.array([spec % v for v in x[starts].tolist()], dtype=object)
+    return texts[np.cumsum(starts) - 1].tolist()
+
+
 def _fmt_value(value, exact: bool) -> str:
     if exact and isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
@@ -48,17 +73,19 @@ def _write_text(path, text: str):
 # ── CSV ──────────────────────────────────────────────────────────────────
 
 def hitting_dist_csv(dist: HittingDist, exact: bool = False) -> str:
-    lines = ["t,prob"]
-    for t, value in dist.rows():
-        lines.append(f"{t},{_fmt_value(value, exact)}")
-    return "\n".join(lines) + "\n"
+    if exact and any(isinstance(value, Fraction) for value in dist.probs):
+        texts = [_fmt_value(value, exact) for value in dist.probs]
+    else:
+        texts = format_column(dist.probs, "%.17g")
+    return "t,prob\n" + "".join(map("%d,%s\n".__mod__, enumerate(texts, 1)))
 
 
 def success_curve_csv(curve: SuccessCurve) -> str:
-    lines = ["m,prob_commutator,prob_full"]
-    for m, pc, pf in curve.rows():
-        lines.append(f"{m},{fmt_float(pc)},{fmt_float(pf)}")
-    return "\n".join(lines) + "\n"
+    rows = [None] * (3 * len(curve.m))
+    rows[0::3] = curve.m
+    rows[1::3] = format_column(curve.prob_commutator, "%.17g")
+    rows[2::3] = format_column(curve.prob_full, "%.17g")
+    return "m,prob_commutator,prob_full\n" + "%s,%s,%s\n" * len(curve.m) % tuple(rows)
 
 
 # ── JSON ─────────────────────────────────────────────────────────────────
@@ -69,14 +96,13 @@ def statistics_json(stats: Statistics) -> str:
 
 # ── SVG ──────────────────────────────────────────────────────────────────
 
-def _svg_chart(series: list[tuple[str, list[float], list[float]]],
+def _svg_chart(xs, series: list[tuple[str, list[float]]],
                x_label: str, y_label: str) -> str:
-    """Line chart: series is a list of (name, xs, ys) triples."""
-    series = [(name, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
-              for name, xs, ys in series]
-    xs_all = np.concatenate([xs for _, xs, _ in series] + [np.empty(0)])
-    ys_all = np.concatenate([ys for _, _, ys in series] + [np.empty(0)])
-    x_min, x_max = (float(xs_all.min()), float(xs_all.max())) if xs_all.size else (0.0, 1.0)
+    """Line chart of every (name, ys) in series over the one x axis xs."""
+    xs = np.asarray(xs, dtype=float)
+    series = [(name, np.asarray(ys, dtype=float)) for name, ys in series]
+    ys_all = np.concatenate([ys for _, ys in series] + [np.empty(0)])
+    x_min, x_max = (float(xs.min()), float(xs.max())) if xs.size else (0.0, 1.0)
     y_min, y_max = (float(ys_all.min()), float(ys_all.max())) if ys_all.size else (0.0, 1.0)
     if x_max == x_min:
         x_max = x_min + 1.0
@@ -115,10 +141,13 @@ def _svg_chart(series: list[tuple[str, list[float], list[float]]],
     parts.append(f'<text x="18" y="{_MARGIN_TOP + plot_h / 2:.1f}" font-size="14" '
                  f'text-anchor="middle" transform="rotate(-90 18 '
                  f'{_MARGIN_TOP + plot_h / 2:.1f})">{y_label}</text>')
-    for i, (name, xs, ys) in enumerate(series):
+    # "x," and "y " texts interleaved; the x half is formatted once for all series
+    coords = [None] * (2 * xs.size)
+    coords[0::2] = format_column(px(xs), "%.2f,")
+    for i, (name, ys) in enumerate(series):
         color = _CURVE_COLORS[i % len(_CURVE_COLORS)]
-        coords = np.column_stack((px(xs), py(ys))).ravel().tolist()
-        points = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(coords)
+        coords[1::2] = format_column(py(ys), "%.2f ")
+        points = "".join(coords)[:-1]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{points}"/>')
         parts.append(f'<text x="{_MARGIN_LEFT + plot_w - 8}" '
@@ -129,8 +158,8 @@ def _svg_chart(series: list[tuple[str, list[float], list[float]]],
 
 
 def success_curve_svg(curve: SuccessCurve) -> str:
-    return _svg_chart([("prob_commutator", curve.m, curve.prob_commutator),
-                       ("prob_full", curve.m, curve.prob_full)],
+    return _svg_chart(curve.m, [("prob_commutator", curve.prob_commutator),
+                                ("prob_full", curve.prob_full)],
                       "m", "success probability")
 
 

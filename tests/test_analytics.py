@@ -277,10 +277,10 @@ def test_required_m_is_the_streamed_profile(p_min):
         assert ret_cum[plan.m - 2] < q
 
 
-# even budgets at the edges of required_m's first two coefficient blocks
-# (256 coefficients, then 512): the first, the last of block one, and the
-# first of block two
-REQUIRED_M_EDGES = (2, 514, 516)
+# even budgets at the edges of required_m's first two coefficient blocks:
+# the exact first term, the last budget of block one and the first of block two
+FIRST_BLOCK_LAST = 2 + 2 * analytics.REQUIRED_M_BLOCK
+REQUIRED_M_EDGES = (2, FIRST_BLOCK_LAST, FIRST_BLOCK_LAST + 2)
 
 
 @pytest.mark.parametrize("p_min", [0.005, 0.05, 0.3])
@@ -291,7 +291,8 @@ def test_required_m_at_block_edges(p_min, m):
     assert (plan.m, plan.worst_grid_prob) == (m, ret_cum[m])
 
 
-@pytest.mark.parametrize("cap", [300, 514, 515, 516, 1001])
+@pytest.mark.parametrize("cap", [300, FIRST_BLOCK_LAST, FIRST_BLOCK_LAST + 1,
+                                 FIRST_BLOCK_LAST + 2, 1001])
 def test_required_m_cap_inside_a_block(monkeypatch, cap):
     # a cap inside a block ends the search at the cap, odd caps included
     p_min = 0.05
@@ -301,6 +302,15 @@ def test_required_m_cap_inside_a_block(monkeypatch, cap):
     assert required_m(p_min, float(target[last])).m == last
     with pytest.raises(ValueError, match=f"no gate budget up to {cap} reaches"):
         required_m(p_min, float(target[last + 2]))
+
+
+@pytest.mark.parametrize("first, last", [(1, 1), (1, 4), (3, 96)])
+def test_required_m_does_not_depend_on_the_block_sizes(monkeypatch, first, last):
+    cases = [(p_min, q) for p_min in (0.05, 0.3, 1.0) for q in (0.1, 0.5, 0.9)]
+    plans = [required_m(p_min, q, dt=0.5, tau=0.25, s=2) for p_min, q in cases]
+    monkeypatch.setattr(analytics, "REQUIRED_M_BLOCK", first)
+    monkeypatch.setattr(analytics, "REQUIRED_M_BLOCK_MAX", last)
+    assert [required_m(p_min, q, dt=0.5, tau=0.25, s=2) for p_min, q in cases] == plans
 
 
 def _grid_required_m(p_min, q, dt: float | None = None, tau: float | None = None,

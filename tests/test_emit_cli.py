@@ -1,8 +1,11 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrewind import analytics, cli, mat2, walk
 from qrewind import emitters as emit
@@ -32,6 +35,56 @@ def test_hitting_dist_exact_csv(tmp_path):
     assert lines[1] == "1,1/2"
     assert lines[2] == "2,0/1"
     assert lines[3] == "3,1/8"
+
+
+FORMAT_SPECS = ("%.17g", "%.2f")
+SUBNORMAL = 5e-324
+EDGE_COLUMNS = [
+    [],
+    [0.3],
+    [-0.0],
+    [math.nan],
+    [0.1 + 0.2] * 5000,
+    [0.0, -0.0, -0.0, 0.0, 0.0, -0.0],
+    [math.nan, math.nan, -math.nan, math.inf, math.inf, -math.inf, -math.inf],
+    [SUBNORMAL, SUBNORMAL, -SUBNORMAL, 2.2250738585072009e-308, 0.0, 1e-310],
+    [1.0, 1.0, 0.999999999999999889, 0.999999999999999889, 1.0],
+]
+
+
+def _per_element(values, spec):
+    return [spec % float(x) for x in values]
+
+
+@pytest.mark.parametrize("spec", FORMAT_SPECS)
+@pytest.mark.parametrize("values", EDGE_COLUMNS)
+def test_format_column_edge_cases(spec, values):
+    texts = emit.format_column(values, spec)
+    assert texts == _per_element(values, spec)
+    assert texts == [format(float(x), spec[1:]) for x in values]
+
+
+# runs of repeated values, so that neighbours are often bit-equal
+_RUNS = st.lists(st.tuples(st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True),
+                           st.integers(1, 4)), max_size=40)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(runs=_RUNS, spec=st.sampled_from(FORMAT_SPECS))
+def test_format_column_matches_per_element_format(runs, spec):
+    values = [x for x, count in runs for _ in range(count)]
+    assert emit.format_column(np.array(values, dtype=float), spec) == \
+        _per_element(values, spec)
+
+
+def test_curve_csv_rows_are_formatted_per_value():
+    curve = SuccessCurve(m=[1, 2, 3, 4], prob_commutator=[0.1, 0.1, -0.0, math.nan],
+                         prob_full=[0.0, 1 / 3, 1 / 3, math.inf])
+    assert emit.success_curve_csv(curve) == (
+        "m,prob_commutator,prob_full\n1,0.10000000000000001,0\n"
+        "2,0.10000000000000001,0.33333333333333331\n"
+        "3,-0,0.33333333333333331\n4,nan,inf\n")
 
 
 def test_empty_curve_header_only(tmp_path):
