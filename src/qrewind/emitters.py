@@ -10,9 +10,9 @@ strings (exact=True).
 
 Every float column of a CSV and every polyline coordinate goes through
 format_column, which formats a run of bit-equal neighbours once: the
-cumulative curve columns hold each value for two rows, and the SVG's x
-texts are shared by its polylines. The bytes are those of formatting each
-value on its own.
+cumulative curve columns hold each value for two rows (T1 has odd support,
+T1 + T2 even support), and the SVG's x texts are shared by its polylines.
+The bytes are those of formatting each value on its own.
 """
 from __future__ import annotations
 
@@ -42,8 +42,7 @@ def format_column(values, spec: str) -> list[str]:
     bit-equal neighbours once.
 
     Runs are found on the int64 view, so -0.0 and 0.0 stay apart and NaNs
-    of one bit pattern join. The cumulative curve columns repeat every other
-    row (T1 has odd support, T1 + T2 even support), which halves their work.
+    of one bit pattern join.
     """
     x = np.asarray(values, dtype=float)
     if not x.size:
@@ -52,8 +51,10 @@ def format_column(values, spec: str) -> list[str]:
     starts = np.empty(x.size, dtype=bool)
     starts[0] = True
     np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    texts = np.array([spec % v for v in x[starts].tolist()], dtype=object)
-    return texts[np.cumsum(starts) - 1].tolist()
+    texts = [spec % v for v in x[starts].tolist()]
+    if len(texts) == x.size:
+        return texts
+    return np.array(texts, dtype=object)[np.cumsum(starts) - 1].tolist()
 
 
 def _fmt_value(value, exact: bool) -> str:
