@@ -158,6 +158,21 @@ VERIFY_PINNED = {
         "worst trace residual=9.058e-16\n"
         "branch-probability invariance: worst deviation=1.055e-15 ok\n"
         "verify: PASS\n"),
+    ("--trials", "1", "--seed", "0"): (
+        "identities[haar]: 1 instances, failures=0, worst trace residual=1.677e-16\n"
+        "identities[ginibre]: 1 instances, failures=0, worst trace residual=8.363e-17\n"
+        "identities[shared-eigenvector]: 1 instances, failures=0, "
+        "worst trace residual=1.258e-16\n"
+        "branch-probability invariance: worst deviation=2.220e-16 ok\n"
+        "verify: PASS\n"),
+    # 600 trials run in three chunks of 256, 256 and 88 rows
+    ("--trials", "600", "--seed", "5"): (
+        "identities[haar]: 600 instances, failures=0, worst trace residual=1.003e-15\n"
+        "identities[ginibre]: 600 instances, failures=0, worst trace residual=6.484e-16\n"
+        "identities[shared-eigenvector]: 600 instances, failures=0, "
+        "worst trace residual=2.820e-15\n"
+        "branch-probability invariance: worst deviation=2.331e-15 ok\n"
+        "verify: PASS\n"),
 }
 
 
