@@ -294,8 +294,9 @@ def required_m(p_min, q, dt: float | None = None, tau: float | None = None,
     scan of a 0.001 grid over [p_min, 1] gave the same plan, bit for bit,
     on every input tried (tests/test_analytics.py keeps that scan as the
     oracle). When both timing constants are given, the running-time bound
-    T' = m (dt + tau) + s dt is reported too. ValueError when no even
-    budget up to REQUIRED_M_CAP (read at call time) reaches q.
+    T' = m (dt + tau) + s dt is reported too; one of them alone is a
+    ValueError. ValueError too when no even budget up to REQUIRED_M_CAP
+    (read at call time) reaches q.
 
     The running sum takes _hitting_profiles' return row in its operation
     order, block by block: each block runs REQUIRED_M_BLOCK coefficients
@@ -311,6 +312,8 @@ def required_m(p_min, q, dt: float | None = None, tau: float | None = None,
     _reject_underflowing_square(p_min)
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly between 0 and 1")
+    if (dt is None) != (tau is None):
+        raise ValueError("dt and tau must be given together")
     for name, value in (("dt", dt), ("tau", tau)):
         if value is not None and not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive")
@@ -328,9 +331,7 @@ def required_m(p_min, q, dt: float | None = None, tau: float | None = None,
         if hit.size:
             k = int(hit[0])
             m = budget + 2 * k
-            t_prime = None
-            if dt is not None and tau is not None:
-                t_prime = m * (dt + tau) + s * dt
+            t_prime = None if dt is None else m * (dt + tau) + s * dt
             return TrimPlan(m=m, worst_grid_p=p_min, worst_grid_prob=float(cums[k]),
                             t_prime=t_prime)
         budget += 2 * (cums.size - 1)

@@ -31,6 +31,11 @@ INPUT_TOL = 1e-10
 # passes its instances in stacks of stack_rows(s_max, n_max), so its memory
 # grows neither with --trials nor with --smax or --nmax.
 WORD_CHUNK = 4096
+# Norm at or below which a Gaussian draw counts as degenerate (measure zero
+# in exact arithmetic): one haar_unitary or qgate.random_state call redraws
+# it, and a stacked draw that holds one returns None instead. Read at call
+# time.
+DEGENERATE_NORM = 1e-6
 
 
 def as_mat2(m) -> np.ndarray:
@@ -49,26 +54,41 @@ def frobenius_norm(a: np.ndarray):
     return np.sqrt(np.vecdot(a4, a4).real)
 
 
-def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value, closed form for 2x2.
+def _gram(a: np.ndarray) -> np.ndarray:
+    """a^dag a, for one matrix or each matrix of a (..., 2, 2) stack."""
+    return a.conj().swapaxes(-1, -2) @ a
+
+
+def operator_norm(a: np.ndarray):
+    """Largest singular value, closed form for 2x2 (one per matrix of a stack).
 
     Uses the Gram-matrix eigenvalue in the cancellation-free form
-    ((g00 + g11) + sqrt((g00 - g11)^2 + 4 |g01|^2)) / 2.
+    ((g00 + g11) + sqrt((g00 - g11)^2 + 4 |g01|^2)) / 2, with |g01| from
+    hypot (np.abs of a complex array rounds differently).
     """
-    g = a.conj().T @ a
-    g00, g11 = g[0, 0].real, g[1, 1].real
-    disc = math.sqrt((g00 - g11) ** 2 + 4.0 * abs(g[0, 1]) ** 2)
-    return math.sqrt(max(0.5 * (g00 + g11 + disc), 0.0))
+    g = _gram(a)
+    g00, g11, g01 = g[..., 0, 0].real, g[..., 1, 1].real, g[..., 0, 1]
+    disc = np.sqrt((g00 - g11) ** 2 + 4.0 * np.hypot(g01.real, g01.imag) ** 2)
+    return np.sqrt(np.maximum(0.5 * (g00 + g11 + disc), 0.0))
+
+
+def _unitary(a: np.ndarray):
+    """is_unitary without the coercion, one flag per matrix of a stack."""
+    return frobenius_norm(_gram(a) - IDENTITY) <= INPUT_TOL
+
+
+def _contraction(a: np.ndarray):
+    """is_contraction without the coercion, one flag per matrix of a stack."""
+    return operator_norm(a) <= 1.0 + INPUT_TOL
 
 
 def is_unitary(a) -> bool:
-    a = as_mat2(a)
-    return frobenius_norm(a.conj().T @ a - IDENTITY) <= INPUT_TOL
+    return _unitary(as_mat2(a))
 
 
 def is_contraction(a) -> bool:
     """Operator norm at most 1 + INPUT_TOL (the abort bound is an operator-norm bound)."""
-    return operator_norm(as_mat2(a)) <= 1.0 + INPUT_TOL
+    return _contraction(as_mat2(a))
 
 
 def commutator(a, b) -> np.ndarray:
@@ -138,16 +158,35 @@ def ginibre(rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / math.sqrt(2)
 
 
-def haar_unitary(rng: np.random.Generator) -> np.ndarray:
+def haar_unitary(rng: np.random.Generator | np.ndarray) -> np.ndarray | None:
     """Haar-distributed 2x2 unitary.
 
     Gram-Schmidt on a Ginibre pair, i.e. QR with positive diagonal, which is
-    the exact Haar construction at this dimension.
+    the exact Haar construction at this dimension. A draw whose first
+    column has norm <= DEGENERATE_NORM is redrawn.
+
+    rng may instead be an (N, 8) array of standard normals, row i holding
+    the 8 that one call draws (the real parts of the Ginibre matrix in C
+    order, then its imaginary parts). That stacked draw gives the (N, 2, 2)
+    stack of the unitaries those calls would return, bit for bit, or None
+    if a row is degenerate, where a call would have drawn again. Its
+    memory is linear in N; `verify` passes at most cli.BRANCH_CHUNK rows.
     """
+    if isinstance(rng, np.ndarray):
+        n = len(rng)
+        g = (rng[:, :4].reshape(n, 2, 2) + 1j * rng[:, 4:].reshape(n, 2, 2)) / math.sqrt(2)
+        c0, c1 = g[..., 0], g[..., 1]
+        r0 = np.sqrt(np.vecdot(c0, c0).real)
+        if (r0 <= DEGENERATE_NORM).any():
+            return None
+        q0 = c0 / r0[:, None]
+        w = c1 - q0 * np.vecdot(q0, c1)[:, None]
+        q1 = w / np.sqrt(np.vecdot(w, w).real)[:, None]
+        return np.stack((q0, q1), axis=-1)
     while True:
         g = ginibre(rng)
         r0 = math.sqrt(np.vdot(g[:, 0], g[:, 0]).real)
-        if r0 > 1e-6:  # resample the measure-zero degenerate draw
+        if r0 > DEGENERATE_NORM:  # resample the measure-zero degenerate draw
             break
     q0 = g[:, 0] / r0
     w = g[:, 1] - q0 * np.vdot(q0, g[:, 1])
@@ -221,6 +260,15 @@ def _as_stack(m) -> np.ndarray:
     return a.reshape(-1, 2, 2)
 
 
+def _pair(v, w) -> tuple[bool, np.ndarray, np.ndarray]:
+    """(single, v, w): V and W as (N, 2, 2) stacks of one shape; single if V was one matrix."""
+    single = np.ndim(v) == 2
+    v, w = _as_stack(v), _as_stack(w)
+    if v.shape != w.shape:
+        raise ValueError(f"V and W stacks differ in shape: {v.shape} vs {w.shape}")
+    return single, v, w
+
+
 def stack_rows(s_max: int, n_max: int) -> int:
     """Instances per verify_word_identities call that fit in WORD_CHUNK words."""
     return max(1, WORD_CHUNK // (2 + s_max + n_max))
@@ -248,10 +296,7 @@ def verify_word_identities(v, w, s_max: int = 8, n_max: int = 6,
     finite at any s_max. Rows with singular W compute their rewind words
     with the identity in place of W, and all_passed ignores them.
     """
-    single = np.ndim(v) == 2
-    v, w = _as_stack(v), _as_stack(w)
-    if v.shape != w.shape:
-        raise ValueError(f"V and W stacks differ in shape: {v.shape} vs {w.shape}")
+    single, v, w = _pair(v, w)
     n, k = len(v), 2 + s_max + n_max
     vw, wv = v @ w, w @ v
     x = _unit_scale(vw - wv)
@@ -302,7 +347,7 @@ def branch_maps(v, w) -> tuple[np.ndarray, np.ndarray]:
     return (wv - vw) / 2.0, (vw + wv) / 2.0
 
 
-def branch_prob_invariant(v, w) -> float:
+def branch_prob_invariant(v, w):
     """State-independent vertical-port probability for unitary V, W.
 
     p = min(||x^||_F^2 / 2, 1) with x^ from branch_maps. Since x^dag x^ = p I
@@ -313,30 +358,47 @@ def branch_prob_invariant(v, w) -> float:
     and stays below 6e-16/sqrt(p), the bound tests/test_mat2.py checks
     against the exact p of rational Cayley unitaries from p = 1e-23 to
     1 - 2e-6; over 2000 such pairs the worst was 3.9e-16/sqrt(p).
+
+    v and w are one pair, which gives a float, or (N, 2, 2) stacks of pairs,
+    which give an (N,) array holding each pair's float bit for bit. A stack
+    is rejected if any of its matrices is not unitary. Its memory is linear
+    in N; `verify` passes at most cli.BRANCH_CHUNK pairs.
     """
-    if not (is_unitary(v) and is_unitary(w)):
+    single, v, w = _pair(v, w)
+    if not (_unitary(v).all() and _unitary(w).all()):
         raise ValueError("branch_prob_invariant requires unitary inputs; "
                          "use branch_prob_state for contractions")
-    xh, _ = branch_maps(v, w)
-    return min(float(np.vdot(xh, xh).real) / 2.0, 1.0)
+    vw, wv = v @ w, w @ v
+    xh = ((wv - vw) / 2.0).reshape(-1, 4)  # x^ of branch_maps, one row per pair
+    p = np.minimum(np.vecdot(xh, xh).real / 2.0, 1.0)
+    return float(p[0]) if single else p
 
 
 def branch_prob_state(v, w, psi):
     """Per-state branch probabilities (vertical, horizontal, abort).
 
-    psi is one state or a (K, 2) stack of states; V and W are checked once
-    per call. One state gives three floats, a stack three (K,) arrays.
+    For one pair V, W, psi is one state or a (K, 2) stack of states; one
+    state gives three floats, a stack three (K,) arrays. For (N, 2, 2)
+    stacks of pairs, psi is an (N, K, 2) stack, K states per pair, and the
+    three results are (N, K) arrays whose row i equals the call on pair i,
+    bit for bit. The inputs are checked once per call. Its memory is linear
+    in N K; `verify` passes at most cli.BRANCH_CHUNK pairs of 8 states.
     Valid for contraction V, W: the two branch weights then sum to at most 1
     and the remainder is the abort probability of the post-selected
     realisation. For unitary inputs the abort term vanishes.
     """
-    v, w = as_mat2(v), as_mat2(w)
+    single, v, w = _pair(v, w)
     psi = np.asarray(psi, dtype=complex)
+    if not single and (psi.ndim != 3 or psi.shape[0] != len(v)):
+        raise ValueError(f"states of {len(v)} pairs must form an (N, K, 2) stack, "
+                         f"got shape {psi.shape}")
     if (np.abs(np.sqrt(np.vecdot(psi, psi).real) - 1.0) > INPUT_TOL).any():
         raise ValueError("state must be normalised")
-    if not (is_contraction(v) and is_contraction(w)):
+    if not (_contraction(v).all() and _contraction(w).all()):
         raise ValueError("branch probabilities need contraction inputs "
                          "(operator norm <= 1)")
+    # one pair acts on every state; a stack's pair i on its states i
+    v, w = (v[0], w[0]) if single else (v[:, None], w[:, None])
     col = psi[..., None]
     vw, wv = (v @ (w @ col))[..., 0], (w @ (v @ col))[..., 0]
     x_psi, y_psi = vw - wv, vw + wv

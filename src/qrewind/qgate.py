@@ -17,6 +17,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import mat2
 from .mat2 import branch_maps
 
 WEIGHT_SUM_TOL = 1e-9  # slack on the branch weights' sum for contraction inputs
@@ -36,12 +37,27 @@ def as_state(psi) -> np.ndarray:
     return v
 
 
-def random_state(rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform unit state (normalized complex Gaussian pair)."""
+def random_state(rng: np.random.Generator | np.ndarray) -> np.ndarray | None:
+    """Haar-uniform unit state (normalized complex Gaussian pair).
+
+    A pair of norm <= mat2.DEGENERATE_NORM is redrawn. rng may instead be
+    an (..., 4) array of standard normals, each row holding the 4 that one
+    call draws (the two real parts, then the two imaginary parts). That
+    stacked draw gives the (..., 2) stack of the states those calls would
+    return, bit for bit, or None if a row is degenerate, where a call would
+    have drawn again. Its memory is linear in the rows; `verify` passes at
+    most cli.BRANCH_CHUNK x 8 of them.
+    """
+    if isinstance(rng, np.ndarray):
+        v = rng[..., :2] + 1j * rng[..., 2:]
+        nrm = np.sqrt(np.vecdot(v, v).real)
+        if (nrm <= mat2.DEGENERATE_NORM).any():
+            return None
+        return v / nrm[..., None]
     while True:
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         nrm = math.sqrt(np.vdot(v, v).real)
-        if nrm > 1e-6:
+        if nrm > mat2.DEGENERATE_NORM:
             return v / nrm
 
 

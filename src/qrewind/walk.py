@@ -78,6 +78,8 @@ def streams(seed: int, runs: int, workers: int):
     """
     if runs < 1 or not 1 <= workers <= MAX_STREAMS:
         raise ValueError(f"runs must be positive and workers in [1, {MAX_STREAMS}]")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     base, extra = divmod(runs, workers)
     for idx, stream in enumerate(np.random.SeedSequence(seed).spawn(workers)):
         yield np.random.default_rng(stream), base + (idx < extra)

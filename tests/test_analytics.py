@@ -254,6 +254,9 @@ def test_required_m_definitional(monkeypatch):
         required_m(0.0, 0.5)
     with pytest.raises(ValueError):
         required_m(0.5, 1.0)
+    for timing in ({"dt": 1.0}, {"tau": 0.5}):  # T' needs both constants
+        with pytest.raises(ValueError, match="dt and tau must be given together"):
+            required_m(0.5, 0.6, **timing)
     with monkeypatch.context() as patch:
         patch.setattr(analytics, "REQUIRED_M_CAP", 4)
         with pytest.raises(ValueError, match="no gate budget up to 4"):

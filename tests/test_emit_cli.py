@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrewind import analytics, cli, mat2, walk
+from qrewind import analytics, cli, mat2, qgate, walk
 from qrewind import emitters as emit
 from qrewind.analytics import SuccessCurve, first_passage_dist
 from qrewind.engine import ProtocolConfig, monte_carlo
-from qrewind.mat2 import HADAMARD, SIGMA_Z, branch_prob_invariant, haar_unitary
+from qrewind.mat2 import (HADAMARD, SIGMA_Z, branch_prob_invariant, branch_prob_state,
+                          haar_unitary)
 
 
 def test_hitting_dist_csv_rows(tmp_path):
@@ -189,6 +190,72 @@ def test_cli_verify_output_independent_of_chunk(capsys, monkeypatch):
     assert mat2.stack_rows(8, 6) == 1
     assert cli.main(["verify", "--trials", "10"]) == 0
     assert capsys.readouterr().out == default
+    monkeypatch.setattr(cli, "BRANCH_CHUNK", 3)  # branch chunks of 3, 3, 3 and 1
+    assert cli.main(["verify", "--trials", "10"]) == 0
+    assert capsys.readouterr().out == default
+
+
+def _counting(monkeypatch, names):
+    """Wrap the cli attributes `names`; the returned dict lists each call's arguments."""
+    seen = {name: [] for name in names}
+    for name in names:
+        def wrapper(*args, _fn=getattr(cli, name), _seen=seen[name]):
+            _seen.append(args)
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, wrapper)
+    return seen
+
+
+def test_cli_verify_branch_section_calls_once_per_chunk(capsys, monkeypatch):
+    seen = _counting(monkeypatch, ["branch_prob_invariant", "branch_prob_state",
+                                   "random_state", "haar_unitary"])
+    flags = ("--trials", "600", "--seed", "5")
+    assert cli.main(["verify", *flags]) == 0
+    assert capsys.readouterr().out == VERIFY_PINNED[flags]
+    chunks = [256, 256, 88]
+    assert [len(v) for v, _ in seen["branch_prob_invariant"]] == chunks
+    assert [len(v) for v, _, _ in seen["branch_prob_state"]] == chunks
+    assert [z.shape for z, in seen["random_state"]] == [(n, cli.BRANCH_STATES, 4)
+                                                        for n in chunks]
+    # the haar family draws its 2 x 600 unitaries one call at a time, the
+    # branch section its V and W once per chunk
+    assert len(seen["haar_unitary"]) == 2 * 600 + 2 * len(chunks)
+    assert [z.shape for z, in seen["haar_unitary"] if isinstance(z, np.ndarray)] == \
+        [(n, 8) for n in chunks for _ in "vw"]
+
+
+def test_cli_verify_degenerate_rows_replay_the_per_call_draws(capsys, monkeypatch):
+    # this floor makes about one branch trial in five degenerate, so with
+    # one trial per chunk both the stacked and the replayed draws run
+    monkeypatch.setattr(mat2, "DEGENERATE_NORM", 0.6)
+    monkeypatch.setattr(cli, "BRANCH_CHUNK", 1)
+    seen = _counting(monkeypatch, ["branch_prob_state", "random_state"])
+    trials, seed = 60, 4
+    assert cli.main(["verify", "--trials", str(trials), "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    # each chunk draws its stack; a degenerate one then replays its 8 states
+    replayed = [z for z, in seen["random_state"] if not isinstance(z, np.ndarray)]
+    assert len(seen["random_state"]) - len(replayed) == trials
+    assert 0 < len(replayed) < cli.BRANCH_STATES * trials
+
+    # the per-call route, which redraws each degenerate draw where it falls
+    rng = np.random.default_rng(seed)
+    for sampler in (haar_unitary, mat2.ginibre):
+        for _ in range(2 * trials):
+            sampler(rng)
+    for _ in range(trials):
+        mat2.shared_eigenvector_pair(rng)
+    worst = 0.0
+    assert len(seen["branch_prob_state"]) == trials
+    for v_row, w_row, states_row in seen["branch_prob_state"]:
+        v, w = haar_unitary(rng), haar_unitary(rng)
+        states = np.array([qgate.random_state(rng) for _ in range(cli.BRANCH_STATES)])
+        assert np.array_equal(v_row, v[None]) and np.array_equal(w_row, w[None])
+        assert np.array_equal(states_row, states[None])
+        p_vert = branch_prob_state(v, w, states)[0]
+        worst = max(worst, float(np.abs(p_vert - branch_prob_invariant(v, w)).max()))
+    assert out.endswith(f"branch-probability invariance: worst deviation={worst:.3e} ok\n"
+                        "verify: PASS\n")
 
 
 def test_cli_verify_large_smax_passes(capsys):
@@ -327,7 +394,8 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
     for timing in (["--dt", "-1", "--tau", "0.5"], ["--dt", "nan", "--tau", "0.5"],
-                   ["--dt", "1", "--tau", "inf"], ["--s", "-3"]):
+                   ["--dt", "1", "--tau", "inf"], ["--s", "-3"], ["--dt", "1"],
+                   ["--tau", "0.5"]):
         assert cli.main(["required-m", "--pmin", "0.5", "--q", "0.5", *timing]) == 2, timing
         captured = capsys.readouterr()
         assert "error:" in captured.err and "m = " not in captured.out
@@ -349,6 +417,18 @@ def test_cli_error_paths(tmp_path, capsys):
                      "--seed", "1", "--workers", workers, "--out", str(sim)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not sim.exists()
+
+    # a negative seed is named in the error, before any output
+    for argv, path in ((["verify", "--trials", "2"], None),
+                       (["dist", "--p", "0.5", "--tmax", "5", "--method", "mc",
+                         "--out", str(out)], out),
+                       (["simulate", "--matrices", str(mats), "--m", "4", "--runs", "10",
+                         "--out", str(sim)], sim)):
+        assert cli.main([*argv, "--seed", "-1"]) == 2, argv
+        captured = capsys.readouterr()
+        assert "error: " in captured.err and "seed must be nonnegative, got -1" in captured.err
+        assert captured.out == ""
+        assert path is None or not path.exists()
 
 
 @pytest.mark.parametrize("flag", ["--dt", "--tau"])

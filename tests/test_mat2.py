@@ -11,6 +11,7 @@ from qrewind.mat2 import (HADAMARD, IDENTITY, SIGMA_X, SIGMA_Z, anticommutator,
                           ginibre, haar_unitary, is_contraction, is_unitary,
                           operator_norm,
                           shared_eigenvector_pair, verify_word_identities)
+from qrewind.qgate import random_state
 
 
 def test_commutator_basics():
@@ -340,3 +341,77 @@ def test_branch_prob_state_examples():
         branch_prob_state(SIGMA_X, SIGMA_Z, np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
     stacked = branch_prob_state(0.5 * IDENTITY, IDENTITY, np.array([psi, psi[::-1]]))
     assert np.allclose(stacked, [[0.0, 0.0], [0.25, 0.25], [0.75, 0.75]], atol=1e-12)
+
+
+def _stacked_pairs(rng, n):
+    """n Haar pairs, then the same pairs scaled by 0.9 into strict contractions."""
+    v = np.array([haar_unitary(rng) for _ in range(n)])
+    w = np.array([haar_unitary(rng) for _ in range(n)])
+    return (v, w), (0.9 * v, 0.9 * w)
+
+
+def test_branch_prob_stack_equals_single_calls():
+    rng = np.random.default_rng(41)
+    (v, w), (cv, cw) = _stacked_pairs(rng, 300)
+    states = rng.standard_normal((300, 5, 2)) + 1j * rng.standard_normal((300, 5, 2))
+    states /= np.sqrt(np.vecdot(states, states).real)[..., None]
+    p = branch_prob_invariant(v, w)
+    assert p.shape == (300,)
+    assert (p == [branch_prob_invariant(a, b) for a, b in zip(v, w)]).all()
+    for pair in ((v, w), (cv, cw)):
+        stacked = branch_prob_state(*pair, states)
+        assert all(col.shape == (300, 5) for col in stacked)
+        singles = [branch_prob_state(a, b, s) for a, b, s in zip(*pair, states)]
+        assert (np.array(stacked) == np.array(singles).transpose(1, 0, 2)).all()
+
+
+def test_branch_prob_stack_rejects_a_bad_row():
+    rng = np.random.default_rng(42)
+    (v, w), (cv, cw) = _stacked_pairs(rng, 20)
+    states = np.tile([1.0, 0.0], (20, 3, 1))
+    for bad, single_bad in ((0.5, 0.5 * v[7]), (2.0, 2.0 * v[7])):
+        v_bad = v.copy()
+        v_bad[7] *= bad
+        with pytest.raises(ValueError) as single:
+            branch_prob_invariant(single_bad, w[7])
+        with pytest.raises(ValueError) as stacked:
+            branch_prob_invariant(v_bad, w)
+        assert str(stacked.value) == str(single.value)
+    cw_bad = cw.copy()
+    cw_bad[3] /= 0.8  # operator norm 1.125
+    with pytest.raises(ValueError) as single:
+        branch_prob_state(cv[3], cw_bad[3], states[3])
+    with pytest.raises(ValueError) as stacked:
+        branch_prob_state(cv, cw_bad, states)
+    assert str(stacked.value) == str(single.value)
+    states_bad = states.copy()
+    states_bad[5, 1] = [1.0, 1.0]
+    with pytest.raises(ValueError, match="normalised"):
+        branch_prob_state(cv, cw, states_bad)
+    with pytest.raises(ValueError, match="must form an"):
+        branch_prob_state(cv, cw, states[:, 0])
+    with pytest.raises(ValueError, match="differ in shape"):
+        branch_prob_invariant(v, w[:-1])
+
+
+def test_stacked_draws_equal_per_call_draws():
+    # one call's 8 + 3 x 4 normals per row, as verify lays out its chunks
+    n = 400
+    rng = np.random.default_rng(43)
+    singles = [(haar_unitary(rng), [random_state(rng) for _ in range(3)]) for _ in range(n)]
+    z = np.random.default_rng(43).standard_normal((n, 20))
+    assert (haar_unitary(z[:, :8]) == np.array([u for u, _ in singles])).all()
+    assert (random_state(z[:, 8:].reshape(n, 3, 4)) == np.array([s for _, s in singles])).all()
+
+
+def test_stacked_draws_flag_degenerate_rows(monkeypatch):
+    z = np.random.default_rng(44).standard_normal((50, 8))
+    z[17, [0, 2, 4, 6]] = 1e-7  # the first column of row 17's Ginibre matrix
+    assert haar_unitary(z) is None
+    assert random_state(z[:, :4]) is not None
+    z[23, 4:] = 1e-7  # row 23's second state pair
+    assert random_state(z.reshape(50, 2, 4)) is None
+    # the floor is read at call time: rows of norm 2 fall under a floor of 2
+    assert random_state(np.ones((3, 4))) is not None
+    monkeypatch.setattr(mat2, "DEGENERATE_NORM", 2.0)
+    assert random_state(np.ones((3, 4))) is None
