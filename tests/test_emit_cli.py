@@ -174,6 +174,24 @@ VERIFY_PINNED = {
         "worst trace residual=2.820e-15\n"
         "branch-probability invariance: worst deviation=2.331e-15 ok\n"
         "verify: PASS\n"),
+    # 270 identity rows in kernel chunks of 256 and 14: the first holds all
+    # three families, the second only shared-eigenvector rows
+    ("--trials", "90", "--seed", "2"): (
+        "identities[haar]: 90 instances, failures=0, worst trace residual=5.087e-16\n"
+        "identities[ginibre]: 90 instances, failures=0, worst trace residual=2.660e-16\n"
+        "identities[shared-eigenvector]: 90 instances, failures=0, "
+        "worst trace residual=6.816e-16\n"
+        "branch-probability invariance: worst deviation=8.882e-16 ok\n"
+        "verify: PASS\n"),
+    # 21 identity rows in kernel chunks of 8, 8 and 5: the first two each
+    # straddle a family boundary
+    ("--trials", "7", "--seed", "9", "--smax", "300", "--nmax", "200"): (
+        "identities[haar]: 7 instances, failures=0, worst trace residual=7.072e-16\n"
+        "identities[ginibre]: 7 instances, failures=0, worst trace residual=4.043e-16\n"
+        "identities[shared-eigenvector]: 7 instances, failures=0, "
+        "worst trace residual=5.999e-16\n"
+        "branch-probability invariance: worst deviation=5.551e-16 ok\n"
+        "verify: PASS\n"),
 }
 
 
