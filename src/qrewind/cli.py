@@ -75,25 +75,26 @@ BRANCH_CHUNK = 256
 BRANCH_STATES = 8
 
 
-def _branch_draws(rng: np.random.Generator, n: int):
-    """V, W stacks (n, 2, 2) and states (n, BRANCH_STATES, 2) for n trials.
+def _haar_draws(rng: np.random.Generator, n: int, states: int = 0):
+    """V, W stacks (n, 2, 2) of n Haar pairs, and (n, states, 2) states if states > 0.
 
-    The draws are those of n rounds of haar_unitary, haar_unitary and
-    BRANCH_STATES random_state calls, taken from one standard_normal call.
-    If a row is degenerate, the generator goes back to its state before
-    that call and the chunk is drawn again one call at a time, so the
+    One standard_normal((n, 16 + 4 states)) call holds, per row, the normals
+    of haar_unitary, haar_unitary and `states` random_state calls in their
+    per-call order. On a degenerate row the generator goes back to its state
+    before that call and the rows are drawn one call at a time, so the
     redraws land where the per-call route puts them.
     """
     saved = rng.bit_generator.state
-    z = rng.standard_normal((n, 16 + 4 * BRANCH_STATES))
-    draws = (haar_unitary(z[:, :8]), haar_unitary(z[:, 8:16]),
-             random_state(z[:, 16:].reshape(n, BRANCH_STATES, 4)))
+    z = rng.standard_normal((n, 16 + 4 * states))
+    draws = [haar_unitary(z[:, :8]), haar_unitary(z[:, 8:16])]
+    if states:
+        draws.append(random_state(z[:, 16:].reshape(n, states, 4)))
     if all(d is not None for d in draws):
         return draws
     rng.bit_generator.state = saved
     rows = [(haar_unitary(rng), haar_unitary(rng),
-             [random_state(rng) for _ in range(BRANCH_STATES)]) for _ in range(n)]
-    return tuple(np.array(col) for col in zip(*rows))
+             [random_state(rng) for _ in range(states)]) for _ in range(n)]
+    return [np.array(col) for col in zip(*rows)][:len(draws)]
 
 
 def _cmd_verify(args) -> int:
@@ -105,32 +106,38 @@ def _cmd_verify(args) -> int:
         raise ValueError("--smax and --nmax must be nonnegative")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError("--tol must be finite and positive")
-    rng = np.random.default_rng(args.seed)
-    families = {
-        "haar": lambda: (haar_unitary(rng), haar_unitary(rng)),
-        "ginibre": lambda: (ginibre(rng), ginibre(rng)),
-        "shared-eigenvector": lambda: shared_eigenvector_pair(rng),
-    }
     per_call = stack_rows(args.smax, args.nmax)
-    failures = 0
-    for name, sampler in families.items():
-        worst = 0.0
-        family_failures = 0
-        for start in range(0, args.trials, per_call):
-            pairs = [sampler() for _ in range(min(per_call, args.trials - start))]
-            report = verify_word_identities(np.array([v for v, _ in pairs]),
-                                            np.array([w for _, w in pairs]),
-                                            s_max=args.smax, n_max=args.nmax,
-                                            tol=args.tol)
-            family_failures += int(np.count_nonzero(~report.all_passed))
-            worst = max(worst, float(report.trace_residuals.max()))
-        failures += family_failures
-        print(f"identities[{name}]: {args.trials} instances, "
-              f"failures={family_failures}, worst trace residual={worst:.3e}")
+    if per_call < 1:
+        raise ValueError(f"--smax {args.smax} and --nmax {args.nmax} give "
+                         f"{2 + args.smax + args.nmax} words per instance, "
+                         "more than mat2.WORD_CHUNK")
+    rng = np.random.default_rng(args.seed)
+    names = ("haar", "ginibre", "shared-eigenvector")
+    samplers = (lambda n: _haar_draws(rng, n),
+                lambda n: zip(*[(ginibre(rng), ginibre(rng)) for _ in range(n)]),
+                lambda n: zip(*[shared_eigenvector_pair(rng) for _ in range(n)]))
+    # row r < 3 trials is pair r % trials of family r // trials, drawn in order
+    trials, rows = args.trials, 3 * args.trials
+    family_failures, worst = [0, 0, 0], [0.0, 0.0, 0.0]
+    for start in range(0, rows, per_call):
+        stop = min(start + per_call, rows)
+        cuts = [start, *range((start // trials + 1) * trials, stop, trials), stop]
+        pairs = [samplers[a // trials](b - a) for a, b in zip(cuts, cuts[1:])]
+        v, w = (np.concatenate(col) for col in zip(*pairs))
+        report = verify_word_identities(v, w, s_max=args.smax, n_max=args.nmax,
+                                        tol=args.tol)
+        for a, b in zip(cuts, cuts[1:]):
+            fam, part = a // trials, slice(a - start, b - start)
+            family_failures[fam] += int(np.count_nonzero(~report.all_passed[part]))
+            worst[fam] = max(worst[fam], float(report.trace_residuals[part].max()))
+    for name, fails, res in zip(names, family_failures, worst):
+        print(f"identities[{name}]: {trials} instances, "
+              f"failures={fails}, worst trace residual={res:.3e}")
+    failures = sum(family_failures)
 
     spread_worst = 0.0
-    for start in range(0, args.trials, BRANCH_CHUNK):
-        v, w, states = _branch_draws(rng, min(BRANCH_CHUNK, args.trials - start))
+    for start in range(0, trials, BRANCH_CHUNK):
+        v, w, states = _haar_draws(rng, min(BRANCH_CHUNK, trials - start), BRANCH_STATES)
         p_ref = branch_prob_invariant(v, w)
         p_vert = branch_prob_state(v, w, states)[0]
         spread_worst = max(spread_worst, float(np.abs(p_vert - p_ref[:, None]).max()))

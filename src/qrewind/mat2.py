@@ -28,8 +28,9 @@ DEFAULT_TOL = 1e-9
 # Slack of the input checks: unitary, contraction and unit-norm state.
 INPUT_TOL = 1e-10
 # Most 2x2 words one verify_word_identities call should stack; `verify`
-# passes its instances in stacks of stack_rows(s_max, n_max), so its memory
-# grows neither with --trials nor with --smax or --nmax.
+# passes its instances in stacks of stack_rows(s_max, n_max) and rejects a
+# larger instance, so its memory grows neither with --trials nor with --smax
+# or --nmax.
 WORD_CHUNK = 4096
 # Norm at or below which a Gaussian draw counts as degenerate (measure zero
 # in exact arithmetic): one haar_unitary or qgate.random_state call redraws
@@ -170,7 +171,8 @@ def haar_unitary(rng: np.random.Generator | np.ndarray) -> np.ndarray | None:
     order, then its imaginary parts). That stacked draw gives the (N, 2, 2)
     stack of the unitaries those calls would return, bit for bit, or None
     if a row is degenerate, where a call would have drawn again. Its
-    memory is linear in N; `verify` passes at most cli.BRANCH_CHUNK rows.
+    memory is linear in N; `verify` passes at most cli.BRANCH_CHUNK rows,
+    or stack_rows(s_max, n_max) for its haar identity rows.
     """
     if isinstance(rng, np.ndarray):
         n = len(rng)
@@ -270,8 +272,8 @@ def _pair(v, w) -> tuple[bool, np.ndarray, np.ndarray]:
 
 
 def stack_rows(s_max: int, n_max: int) -> int:
-    """Instances per verify_word_identities call that fit in WORD_CHUNK words."""
-    return max(1, WORD_CHUNK // (2 + s_max + n_max))
+    """Instances per verify_word_identities call that fit in WORD_CHUNK words (0 if none)."""
+    return WORD_CHUNK // (2 + s_max + n_max)
 
 
 def verify_word_identities(v, w, s_max: int = 8, n_max: int = 6,
@@ -282,8 +284,10 @@ def verify_word_identities(v, w, s_max: int = 8, n_max: int = 6,
     single pair is the N = 1 call and gets the report of its one row. Each
     instance forms 2 + s_max + n_max words by numerical products (x^2,
     x W^s x, y^n x y^n) next to their reference words (I, W^{-s}, x), and
-    one stacked proportionality test checks them all. Stack at most
-    WORD_CHUNK words per call (see stack_rows) to bound memory.
+    one stacked proportionality test checks them all. Rows are independent,
+    so a stack may mix families (`verify` stacks its haar, ginibre and
+    shared-eigenvector rows in that order). Stack at most WORD_CHUNK words
+    per call (see stack_rows) to bound memory.
 
     All checks hold for arbitrary 2x2 inputs (the rewind sandwich needs
     invertible W); a failing verdict therefore signals an implementation

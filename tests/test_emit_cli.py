@@ -204,10 +204,18 @@ def test_cli_verify_pinned_output(capsys, flags):
 def test_cli_verify_output_independent_of_chunk(capsys, monkeypatch):
     assert cli.main(["verify", "--trials", "10"]) == 0
     default = capsys.readouterr().out
-    monkeypatch.setattr(mat2, "WORD_CHUNK", 3)
-    assert mat2.stack_rows(8, 6) == 1
-    assert cli.main(["verify", "--trials", "10"]) == 0
-    assert capsys.readouterr().out == default
+    # 30 identity rows one per call, then 4 per call: rows 8-11 and 16-19
+    # straddle the haar/ginibre and ginibre/shared-eigenvector boundaries
+    for chunk, rows in ((16, 1), (64, 4)):
+        monkeypatch.setattr(mat2, "WORD_CHUNK", chunk)
+        assert mat2.stack_rows(8, 6) == rows
+        assert cli.main(["verify", "--trials", "10"]) == 0
+        assert capsys.readouterr().out == default
+    # one more word per instance than WORD_CHUNK holds is an error
+    assert mat2.stack_rows(8, 54) == 1 and mat2.stack_rows(8, 55) == 0
+    assert cli.main(["verify", "--trials", "10", "--nmax", "55"]) == 2
+    captured = capsys.readouterr()
+    assert "error: --smax 8 and --nmax 55" in captured.err and captured.out == ""
     monkeypatch.setattr(cli, "BRANCH_CHUNK", 3)  # branch chunks of 3, 3, 3 and 1
     assert cli.main(["verify", "--trials", "10"]) == 0
     assert capsys.readouterr().out == default
@@ -217,11 +225,33 @@ def _counting(monkeypatch, names):
     """Wrap the cli attributes `names`; the returned dict lists each call's arguments."""
     seen = {name: [] for name in names}
     for name in names:
-        def wrapper(*args, _fn=getattr(cli, name), _seen=seen[name]):
+        def wrapper(*args, _fn=getattr(cli, name), _seen=seen[name], **kwargs):
             _seen.append(args)
-            return _fn(*args)
+            return _fn(*args, **kwargs)
         monkeypatch.setattr(cli, name, wrapper)
     return seen
+
+
+def test_cli_verify_calls_the_kernels_once_per_chunk(capsys, monkeypatch):
+    names = ["verify_word_identities", "haar_unitary", "ginibre", "shared_eigenvector_pair"]
+    seen = _counting(monkeypatch, names)
+    flags = ("--trials", "10", "--seed", "3")
+    assert cli.main(["verify", *flags]) == 0
+    assert capsys.readouterr().out == VERIFY_PINNED[flags]
+    # all 30 identity rows in one kernel call; the haar family's V and W
+    # stacks, then the branch section's, each from one stacked call
+    assert [len(v) for v, _ in seen["verify_word_identities"]] == [30]
+    assert [z.shape for z, in seen["haar_unitary"]] == [(10, 8)] * 4
+    assert (len(seen["ginibre"]), len(seen["shared_eigenvector_pair"])) == (20, 10)
+
+    # 4 rows per call: the haar rows go in stacks of 4, 4 and 2 (the third
+    # call adds 2 ginibre rows)
+    monkeypatch.setattr(mat2, "WORD_CHUNK", 64)
+    seen = _counting(monkeypatch, names)
+    assert cli.main(["verify", *flags]) == 0
+    assert capsys.readouterr().out == VERIFY_PINNED[flags]
+    assert [len(v) for v, _ in seen["verify_word_identities"]] == [4] * 7 + [2]
+    assert [z.shape[0] for z, in seen["haar_unitary"]] == [4, 4, 4, 4, 2, 2, 10, 10]
 
 
 def test_cli_verify_branch_section_calls_once_per_chunk(capsys, monkeypatch):
@@ -235,19 +265,22 @@ def test_cli_verify_branch_section_calls_once_per_chunk(capsys, monkeypatch):
     assert [len(v) for v, _, _ in seen["branch_prob_state"]] == chunks
     assert [z.shape for z, in seen["random_state"]] == [(n, cli.BRANCH_STATES, 4)
                                                         for n in chunks]
-    # the haar family draws its 2 x 600 unitaries one call at a time, the
-    # branch section its V and W once per chunk
-    assert len(seen["haar_unitary"]) == 2 * 600 + 2 * len(chunks)
-    assert [z.shape for z, in seen["haar_unitary"] if isinstance(z, np.ndarray)] == \
-        [(n, 8) for n in chunks for _ in "vw"]
+    # the haar family's 600 rows fill identity chunks of 256, 256 and 88
+    # rows, and the branch section's chunks hold as many trials: V and W
+    # once per chunk each, with no call drawing a single unitary
+    assert [z.shape for z, in seen["haar_unitary"]] == \
+        [(n, 8) for n in chunks for _ in "vw"] * 2
 
 
 def test_cli_verify_degenerate_rows_replay_the_per_call_draws(capsys, monkeypatch):
-    # this floor makes about one branch trial in five degenerate, so with
-    # one trial per chunk both the stacked and the replayed draws run
+    # this floor makes about one haar pair in ten and one branch trial in
+    # five degenerate, so with one row or trial per chunk both the stacked
+    # and the replayed draws run in both sections
     monkeypatch.setattr(mat2, "DEGENERATE_NORM", 0.6)
+    monkeypatch.setattr(mat2, "WORD_CHUNK", 16)
     monkeypatch.setattr(cli, "BRANCH_CHUNK", 1)
-    seen = _counting(monkeypatch, ["branch_prob_state", "random_state"])
+    seen = _counting(monkeypatch, ["verify_word_identities", "haar_unitary",
+                                   "branch_prob_state", "random_state"])
     trials, seed = 60, 4
     assert cli.main(["verify", "--trials", str(trials), "--seed", str(seed)]) == 0
     out = capsys.readouterr().out
@@ -255,14 +288,19 @@ def test_cli_verify_degenerate_rows_replay_the_per_call_draws(capsys, monkeypatc
     replayed = [z for z, in seen["random_state"] if not isinstance(z, np.ndarray)]
     assert len(seen["random_state"]) - len(replayed) == trials
     assert 0 < len(replayed) < cli.BRANCH_STATES * trials
+    # the same for each haar row and each branch trial, 2 unitaries apiece
+    replayed = [z for z, in seen["haar_unitary"] if not isinstance(z, np.ndarray)]
+    assert len(seen["haar_unitary"]) - len(replayed) == 4 * trials
+    assert 0 < len(replayed) < 4 * trials
 
     # the per-call route, which redraws each degenerate draw where it falls
     rng = np.random.default_rng(seed)
-    for sampler in (haar_unitary, mat2.ginibre):
-        for _ in range(2 * trials):
-            sampler(rng)
-    for _ in range(trials):
-        mat2.shared_eigenvector_pair(rng)
+    pairs = [(haar_unitary(rng), haar_unitary(rng)) for _ in range(trials)]
+    pairs += [(mat2.ginibre(rng), mat2.ginibre(rng)) for _ in range(trials)]
+    pairs += [mat2.shared_eigenvector_pair(rng) for _ in range(trials)]
+    assert len(seen["verify_word_identities"]) == 3 * trials
+    for (v_row, w_row), (v, w) in zip(seen["verify_word_identities"], pairs):
+        assert np.array_equal(v_row, v[None]) and np.array_equal(w_row, w[None])
     worst = 0.0
     assert len(seen["branch_prob_state"]) == trials
     for v_row, w_row, states_row in seen["branch_prob_state"]:
@@ -435,6 +473,11 @@ def test_cli_error_paths(tmp_path, capsys):
                      "--seed", "1", "--workers", workers, "--out", str(sim)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not sim.exists()
+
+    # an instance of more words than mat2.WORD_CHUNK is rejected before any draw
+    assert cli.main(["verify", "--trials", "2", "--smax", "4095"]) == 2
+    captured = capsys.readouterr()
+    assert "error: --smax 4095 and --nmax 6" in captured.err and captured.out == ""
 
     # a negative seed is named in the error, before any output
     for argv, path in ((["verify", "--trials", "2"], None),
