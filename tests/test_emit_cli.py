@@ -204,9 +204,10 @@ def test_cli_verify_pinned_output(capsys, flags):
 def test_cli_verify_output_independent_of_chunk(capsys, monkeypatch):
     assert cli.main(["verify", "--trials", "10"]) == 0
     default = capsys.readouterr().out
-    # 30 identity rows one per call, then 4 per call: rows 8-11 and 16-19
-    # straddle the haar/ginibre and ginibre/shared-eigenvector boundaries
-    for chunk, rows in ((16, 1), (64, 4)):
+    # 30 identity rows 1, 3 and 4 per call: with 3, rows 9-11 and 18-20
+    # straddle the haar/ginibre and ginibre/shared-eigenvector boundaries;
+    # with 4, rows 8-11 straddle the first
+    for chunk, rows in ((16, 1), (48, 3), (64, 4)):
         monkeypatch.setattr(mat2, "WORD_CHUNK", chunk)
         assert mat2.stack_rows(8, 6) == rows
         assert cli.main(["verify", "--trials", "10"]) == 0
@@ -265,9 +266,9 @@ def test_cli_verify_branch_section_calls_once_per_chunk(capsys, monkeypatch):
     assert [len(v) for v, _, _ in seen["branch_prob_state"]] == chunks
     assert [z.shape for z, in seen["random_state"]] == [(n, cli.BRANCH_STATES, 4)
                                                         for n in chunks]
-    # the haar family's 600 rows fill identity chunks of 256, 256 and 88
-    # rows, and the branch section's chunks hold as many trials: V and W
-    # once per chunk each, with no call drawing a single unitary
+    # the haar family's 600 rows take 256, 256 and 88 rows of the first
+    # three identity chunks, and the branch section's chunks hold as many
+    # trials: V and W once per chunk each, no call drawing a single unitary
     assert [z.shape for z, in seen["haar_unitary"]] == \
         [(n, 8) for n in chunks for _ in "vw"] * 2
 
