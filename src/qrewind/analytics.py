@@ -365,17 +365,10 @@ class HittingDist:
         rational = self.probs and all(isinstance(v, Fraction) for v in self.probs)
         return "rational" if rational else "float"
 
-    def __len__(self) -> int:
-        return len(self.probs)
-
     def prob(self, t: int):
         if not 1 <= t <= len(self.probs):
             raise IndexError(f"t must lie in [1, {len(self.probs)}]")
         return self.probs[t - 1]
-
-    def rows(self):
-        for i, value in enumerate(self.probs):
-            yield i + 1, value
 
     def as_floats(self) -> np.ndarray:
         return np.array([float(v) for v in self.probs])
@@ -396,6 +389,3 @@ class SuccessCurve:
     m: list[int] = field(default_factory=list)
     prob_commutator: list[float] = field(default_factory=list)
     prob_full: list[float] = field(default_factory=list)
-
-    def rows(self):
-        return zip(self.m, self.prob_commutator, self.prob_full)

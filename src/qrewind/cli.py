@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -26,9 +27,9 @@ from .qgate import random_state
 
 
 def _parse_prob(text: str, exact: bool):
-    """Probability from the command line; exact mode keeps it rational."""
+    """Command-line probability, checked by analytics.as_prob; exact mode keeps it rational."""
     try:
-        return Fraction(text) if exact or "/" in text else float(text)
+        return analytics.as_prob(Fraction(text) if exact or "/" in text else float(text))
     except ZeroDivisionError:
         raise ValueError(f"probability {text!r} has a zero denominator") from None
 
@@ -179,10 +180,14 @@ def _cmd_curve(args) -> int:
         p = float(_parse_prob(args.p, exact=False))
     curve = engine.success_curve(p, m_max=args.mmax)
     emitters.emit(curve, "csv", args.out)
-    print(f"wrote {args.out}")
     if args.svg:
-        emitters.emit(curve, "svg", args.svg)
-        print(f"wrote {args.svg}")
+        try:
+            emitters.emit(curve, "svg", args.svg)
+        except Exception:
+            os.remove(args.out)  # an error leaves no partial output
+            raise
+    for path in filter(None, (args.out, args.svg)):
+        print(f"wrote {path}")
     return 0
 
 

@@ -18,10 +18,9 @@ from enum import Enum
 
 import numpy as np
 
-from . import analytics, qgate
-from .mat2 import (INPUT_TOL, as_mat2, branch_maps, branch_prob_invariant, is_contraction,
-                   is_unitary)
-from .walk import LANES, chunks, sample_return_batch
+from . import analytics, mat2, qgate
+from .mat2 import as_mat2, branch_maps
+from .walk import LANES, chunks, halve, sample_return_batch
 
 
 class RunOutcome(Enum):
@@ -50,6 +49,7 @@ class ProtocolConfig:
     psi0: np.ndarray | None = None
 
     def validate(self) -> ProtocolConfig:
+        """This config with v, w and psi0 checked once and coerced to complex arrays."""
         if (self.v is None) != (self.w is None):
             raise ValueError("v and w must be supplied together")
         if self.v is None and self.p_override is None:
@@ -64,18 +64,19 @@ class ProtocolConfig:
             raise ValueError("rewind depth s must be nonnegative")
         if self.runs < 1 or self.workers < 1:
             raise ValueError("runs and workers must be positive")
+        v = w = psi0 = None
         if self.v is not None:
             v, w = as_mat2(self.v), as_mat2(self.w)
             if self.mode == "unitary":
-                if not (is_unitary(v) and is_unitary(w)):
+                if not (mat2._unitary(v) and mat2._unitary(w)):
                     raise ValueError("unitary mode requires unitary V and W")
-            elif not (is_contraction(v) and is_contraction(w)):
+            elif not (mat2._contraction(v) and mat2._contraction(w)):
                 raise ValueError("contraction mode requires operator norm <= 1")
         if self.psi0 is not None:
-            psi = qgate.as_state(self.psi0)
-            if abs(math.sqrt(np.vdot(psi, psi).real) - 1.0) > INPUT_TOL:
+            psi0 = qgate.as_state(self.psi0)
+            if not mat2._unit_state(psi0):
                 raise ValueError("psi0 must be a unit state")
-        return self
+        return replace(self, v=v, w=w, psi0=psi0)
 
 
 @dataclass(frozen=True)
@@ -120,11 +121,11 @@ class _CompiledProtocol:
 
 
 def _compile(cfg: ProtocolConfig) -> _CompiledProtocol:
-    """Precompute the branch maps and W powers of a validated config."""
+    """Precompute the branch maps and W powers of a config that validate() returned."""
     if cfg.v is None:
         raise ValueError("run_quantum_protocol needs matrices; p_override "
                          "configs run through monte_carlo")
-    v, w = as_mat2(cfg.v), as_mat2(cfg.w)
+    v, w = cfg.v, cfg.w
     if cfg.mode == "unitary":
         w_inv = w.conj().T
     else:
@@ -139,7 +140,7 @@ def _compile(cfg: ProtocolConfig) -> _CompiledProtocol:
     maps = np.stack([half_comm, half_anti, w_pow, w_inv_pow, 1j * w_inv_pow])
     p = None
     if cfg.mode == "unitary":
-        p = branch_prob_invariant(v, w)
+        p = float(mat2._branch_prob(v, w))
         q = float(np.vdot(half_anti, half_anti).real) / 2.0
         for k, weight in enumerate((p, q)):
             if weight > 0.0:
@@ -157,7 +158,7 @@ def _compile(cfg: ProtocolConfig) -> _CompiledProtocol:
         w_inv_pow=w_inv_pow,
         refs=real[12:],
         m=cfg.m,
-        psi0=None if cfg.psi0 is None else qgate.as_state(cfg.psi0),
+        psi0=cfg.psi0,
     )
 
 
@@ -263,11 +264,11 @@ def _haar_lanes(rng: np.random.Generator, n: int) -> np.ndarray:
     """n Haar-uniform unit states as the real-form columns of a (4, n) array."""
     z = rng.standard_normal((n, 4))
     nrm = np.sqrt((z * z).sum(axis=1))
-    small = nrm <= 1e-6
+    small = nrm <= mat2.DEGENERATE_NORM
     while small.any():  # redrawn as in qgate.random_state
         z[small] = rng.standard_normal((np.count_nonzero(small), 4))
         nrm = np.sqrt((z * z).sum(axis=1))
-        small = nrm <= 1e-6
+        small = nrm <= mat2.DEGENERATE_NORM
     return (z * (1.0 / nrm)[:, None]).T  # rounds as the complex v / nrm of random_state
 
 
@@ -300,12 +301,11 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
     ref, whose dot products with psi are Re and Im <W^{-s} psi0 | psi>.
     Gate t applies both branch maps in one real matmul. row + pos has the
     parity of t (see walk.LANES), so odd gates test only for arrivals at
-    the top origin and even gates only for returns to the lower one. Once
-    at most half the lanes are live, the block keeps them, in order, in its
-    first width >> k lanes, the halving rule that walk._ladder_mc shares;
-    dead lanes among those stay masked. Each gate still draws `width`
-    uniforms and a lane reads the one of its original index, so no draw
-    depends on the halving.
+    the top origin and even gates only for returns to the lower one. The
+    block sheds finished runs by walk.halve, the halving rule that
+    walk._ladder_mc shares; dead lanes among those it keeps stay masked.
+    Each gate still draws `width` uniforms and a lane reads the one of its
+    original index, so no draw depends on the halving.
 
     Unitary mode is the fast path: the maps of cp are isometries, the
     branch draw is u < cp.p and nothing is renormalised, so no run ends at
@@ -325,7 +325,7 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
     node, lane = np.zeros(width, dtype=np.int64), np.arange(width)
     alive = np.ones(width, dtype=bool)
     unitary = cp.p is not None
-    n_alive = n_lanes = width
+    n_alive = width
     for t in range(1, cp.m + 1):
         u = rng.random(width).take(lane)
         amps = cp.branches @ psi
@@ -368,9 +368,8 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
         n_alive -= n_end
         if not n_alive:
             return
-        if 2 * n_alive <= n_lanes:
-            n_lanes >>= (n_lanes // n_alive).bit_length() - 1
-            keep = np.argsort(~alive, kind="stable")[:n_lanes]
+        keep = halve(alive, n_alive)
+        if keep is not None:
             node, alive, lane = node.take(keep), alive.take(keep), lane.take(keep)
             psi, ref = psi.take(keep, axis=1), ref.take(keep, axis=2)
     tally.n_trim_fail += n_alive
@@ -398,7 +397,7 @@ def monte_carlo(cfg: ProtocolConfig) -> Statistics:
     order, and the kernel's working set sets the campaign's peak memory
     (walk.LANES gives the measured reason).
     """
-    cfg.validate()
+    cfg = cfg.validate()
     tally = _Tally()
     if cfg.v is None:
         sample = sample_return_batch(cfg.p_override, cfg.runs, cfg.m, cfg.seed,

@@ -39,14 +39,20 @@ WORD_CHUNK = 4096
 DEGENERATE_NORM = 1e-6
 
 
-def as_mat2(m) -> np.ndarray:
-    """Coerce to a (2, 2) complex array, rejecting NaN/Inf entries."""
+def _as_stack(m, stack: bool = True) -> np.ndarray:
+    """Coerce a 2x2 matrix (or an (N, 2, 2) stack if stack) to a finite complex stack."""
     a = np.asarray(m, dtype=complex)
-    if a.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
+    if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix{' or an (N, 2, 2) stack' if stack else ''}, "
+                         f"got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    return a
+    return a.reshape(-1, 2, 2)
+
+
+def as_mat2(m) -> np.ndarray:
+    """Coerce to a (2, 2) complex array, rejecting NaN/Inf entries."""
+    return _as_stack(m, stack=False)[0]
 
 
 def frobenius_norm(a: np.ndarray):
@@ -83,6 +89,11 @@ def _contraction(a: np.ndarray):
     return operator_norm(a) <= 1.0 + INPUT_TOL
 
 
+def _unit_state(psi: np.ndarray):
+    """Norm within INPUT_TOL of 1, one flag per state of a (..., 2) stack."""
+    return np.abs(np.sqrt(np.vecdot(psi, psi).real) - 1.0) <= INPUT_TOL
+
+
 def is_unitary(a) -> bool:
     return _unitary(as_mat2(a))
 
@@ -95,11 +106,6 @@ def is_contraction(a) -> bool:
 def commutator(a, b) -> np.ndarray:
     a, b = as_mat2(a), as_mat2(b)
     return a @ b - b @ a
-
-
-def anticommutator(a, b) -> np.ndarray:
-    a, b = as_mat2(a), as_mat2(b)
-    return a @ b + b @ a
 
 
 @dataclass(frozen=True)
@@ -149,7 +155,7 @@ def check_proportional(a, b, tol: float = DEFAULT_TOL) -> ProportionalityReport:
     This is the N = 1 view of the stacked test that verify_word_identities
     runs.
     """
-    return _proportional(as_mat2(a)[None], as_mat2(b)[None], tol)[0]
+    return _proportional(_as_stack(a, stack=False), _as_stack(b, stack=False), tol)[0]
 
 
 # ── Samplers ─────────────────────────────────────────────────────────────
@@ -252,16 +258,6 @@ def _unit_scale(a: np.ndarray) -> np.ndarray:
     return a / np.where(nrm <= NORM_FLOOR, 1.0, nrm)[..., None, None]
 
 
-def _as_stack(m) -> np.ndarray:
-    """Coerce a 2x2 matrix or an (N, 2, 2) stack to a finite complex stack."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim not in (2, 3) or a.shape[-2:] != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix or an (N, 2, 2) stack, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    return a.reshape(-1, 2, 2)
-
-
 def _pair(v, w) -> tuple[bool, np.ndarray, np.ndarray]:
     """(single, v, w): V and W as (N, 2, 2) stacks of one shape; single if V was one matrix."""
     single = np.ndim(v) == 2
@@ -345,10 +341,16 @@ def verify_word_identities(v, w, s_max: int = 8, n_max: int = 6,
 # ── Branch probabilities of the switch gate ──────────────────────────────
 
 def branch_maps(v, w) -> tuple[np.ndarray, np.ndarray]:
-    """Vertical and horizontal branch maps (x^, y^) = ((WV - VW)/2, (VW + WV)/2)."""
-    v, w = as_mat2(v), as_mat2(w)
+    """Branch maps (x^, y^) = ((WV - VW)/2, (VW + WV)/2) of complex arrays the caller checked."""
     vw, wv = v @ w, w @ v
     return (wv - vw) / 2.0, (vw + wv) / 2.0
+
+
+def _branch_prob(v, w):
+    """branch_prob_invariant without the checks, one p per pair of (..., 2, 2) stacks."""
+    vw, wv = v @ w, w @ v
+    xh = ((wv - vw) / 2.0).reshape(*v.shape[:-2], 4)  # x^ of branch_maps
+    return np.minimum(np.vecdot(xh, xh).real / 2.0, 1.0)
 
 
 def branch_prob_invariant(v, w):
@@ -372,9 +374,7 @@ def branch_prob_invariant(v, w):
     if not (_unitary(v).all() and _unitary(w).all()):
         raise ValueError("branch_prob_invariant requires unitary inputs; "
                          "use branch_prob_state for contractions")
-    vw, wv = v @ w, w @ v
-    xh = ((wv - vw) / 2.0).reshape(-1, 4)  # x^ of branch_maps, one row per pair
-    p = np.minimum(np.vecdot(xh, xh).real / 2.0, 1.0)
+    p = _branch_prob(v, w)
     return float(p[0]) if single else p
 
 
@@ -396,7 +396,7 @@ def branch_prob_state(v, w, psi):
     if not single and (psi.ndim != 3 or psi.shape[0] != len(v)):
         raise ValueError(f"states of {len(v)} pairs must form an (N, K, 2) stack, "
                          f"got shape {psi.shape}")
-    if (np.abs(np.sqrt(np.vecdot(psi, psi).real) - 1.0) > INPUT_TOL).any():
+    if not _unit_state(psi).all():
         raise ValueError("state must be normalised")
     if not (_contraction(v).all() and _contraction(w).all()):
         raise ValueError("branch probabilities need contraction inputs "

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from . import mat2
-from .mat2 import branch_maps
+from .mat2 import as_mat2, branch_maps
 
 WEIGHT_SUM_TOL = 1e-9  # slack on the branch weights' sum for contraction inputs
 
@@ -80,7 +80,7 @@ def apply_q(v, w, psi) -> QBranches:
     gamma_1 -> (right - up)/sqrt(2), gamma_2 -> (right + up)/sqrt(2); the
     overall sign never affects probabilities or proportionality checks.
     """
-    half_comm, half_anti = branch_maps(v, w)
+    half_comm, half_anti = branch_maps(as_mat2(v), as_mat2(w))
     psi = as_state(psi)
     return QBranches(vertical=half_comm @ psi, horizontal=half_anti @ psi)
 

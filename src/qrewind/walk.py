@@ -69,6 +69,14 @@ LANES = 1024
 CHUNK = 2**20
 
 
+def halve(live: np.ndarray, n_live: int) -> np.ndarray | None:
+    """Lanes a block keeps by the halving rule (see LANES); None while over half are live."""
+    width = live.size
+    if 2 * n_live > width:
+        return None
+    return np.argsort(~live, kind="stable")[:width >> (width // n_live).bit_length() - 1]
+
+
 def streams(seed: int, runs: int, workers: int):
     """Yield (rng, n) for each of `workers` RNG streams in order.
 
@@ -131,9 +139,9 @@ def _ladder_mc(p, runs: int, cap: int, seed: int, workers: int,
     test for hits, and step t counts the live lanes with h = 0 into
     counts[t]. Finished lanes are compacted away while at least LANES stay
     live, and each step draws one uniform per lane. Below that, the chunk
-    sheds them by the halving rule of engine._run_lanes (see LANES): each
-    step draws as many uniforms as the chunk had lanes when it went below,
-    and a lane reads the one of its index then. Runs still live after step
+    sheds them by halve, the rule engine._run_lanes shares: each step
+    draws as many uniforms as the chunk had lanes when it went below, and
+    a lane reads the one of its index then. Runs still live after step
     cap are timeouts. The p = 0 walk drifts right forever, so every run
     times out. A stream of at most CHUNK runs is one chunk, so its draws,
     and the sample, do not depend on CHUNK.
@@ -171,9 +179,8 @@ def _ladder_mc(p, runs: int, cap: int, seed: int, workers: int,
                 live, lane = ~hit, np.arange(width)
             else:
                 live &= ~hit
-            if 2 * n_live <= h.size:
-                n_lanes = h.size >> (h.size // n_live).bit_length() - 1
-                keep = np.argsort(~live, kind="stable")[:n_lanes]
+            keep = halve(live, n_live)
+            if keep is not None:
                 h, live, lane = h.take(keep), live.take(keep), lane.take(keep)
         timeouts += n_live
     return FirstPassageSample(counts=counts, timeouts=timeouts, runs=runs)

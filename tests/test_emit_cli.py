@@ -429,13 +429,13 @@ def test_cli_required_m(capsys):
 def test_cli_error_paths(tmp_path, capsys):
     out = tmp_path / "x.csv"
     for method in ("theorem", "dp", "mc"):
-        for p in ("1.5", "-0.2", "nan", "1/0", "0/0"):
+        for p in ("1.5", "-0.2", "-0.0000000000001", "nan", "1/0", "0/0"):
             for exact in ([], ["--exact"]):
                 assert cli.main(["dist", f"--p={p}", "--tmax", "5", "--method", method,
                                  *exact, "--out", str(out)]) == 2, (method, p, exact)
                 assert "error:" in capsys.readouterr().err
                 assert not out.exists()
-    for p in ("1/0", "0/0", "nan", "1e-300"):
+    for p in ("1/0", "0/0", "nan", "1e-300", "1.000000000001", "-0.0000000000001"):
         assert cli.main(["curve", f"--p={p}", "--mmax", "4", "--out", str(out)]) == 2, p
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
@@ -449,6 +449,12 @@ def test_cli_error_paths(tmp_path, capsys):
     assert cli.main(["curve", "--matrices", str(mats), "--mmax", "4",
                      "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+    # an SVG that cannot be written takes the CSV written before it along
+    assert cli.main(["curve", "--p", "0.3", "--mmax", "4", "--out", str(out),
+                     "--svg", str(tmp_path / "missing" / "x.svg")]) == 2
+    captured = capsys.readouterr()
+    assert "error: cannot write" in captured.err and captured.out == ""
     assert not out.exists()
     for timing in (["--dt", "-1", "--tau", "0.5"], ["--dt", "nan", "--tau", "0.5"],
                    ["--dt", "1", "--tau", "inf"], ["--s", "-3"], ["--dt", "1"],

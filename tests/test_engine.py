@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qrewind import mat2, qgate
 from qrewind.analytics import cumulative_success, return_pmf
-from qrewind.engine import (LANES, ProtocolConfig, RunOutcome, _compile, _norm2,
+from qrewind.engine import (LANES, ProtocolConfig, RunOutcome, _compile, _haar_lanes, _norm2,
                             monte_carlo, run_quantum_protocol, success_curve)
 from qrewind.mat2 import (HADAMARD, SIGMA_X, SIGMA_Y, SIGMA_Z, branch_prob_invariant,
                           haar_unitary)
@@ -29,6 +31,43 @@ def test_config_validation():
     with pytest.raises(ValueError):  # a psi0 argument is checked as cfg.psi0 is
         run_quantum_protocol(ProtocolConfig(v=HADAMARD, w=SIGMA_Z),
                              np.random.default_rng(0), psi0=np.array([3.0, 0.0]))
+
+
+def test_validate_coerces_each_input_once(monkeypatch):
+    cfg = ProtocolConfig(v=HADAMARD.tolist(), w=[[1, 0], [0, -1]], psi0=[1, 0]).validate()
+    for a, shape in ((cfg.v, (2, 2)), (cfg.w, (2, 2)), (cfg.psi0, (2,))):
+        assert isinstance(a, np.ndarray) and a.dtype == complex and a.shape == shape
+    calls = {"_unitary": 0, "as_state": 0}
+    for owner, name in ((mat2, "_unitary"), (qgate, "as_state")):
+        def counting(*args, _fn=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, counting)
+    run_quantum_protocol(cfg, np.random.default_rng(0))
+    assert calls == {"_unitary": 2, "as_state": 1}  # one check per matrix and state
+
+
+def test_monte_carlo_on_list_inputs_matches_arrays():
+    for mode, scale in (("unitary", 1.0), ("contraction", 0.9)):
+        arrays = ProtocolConfig(v=scale * HADAMARD, w=SIGMA_Z, s=2, m=40, seed=3, runs=300,
+                                workers=2, mode=mode)
+        lists = replace(arrays, v=arrays.v.tolist(), w=SIGMA_Z.tolist())
+        assert monte_carlo(lists) == monte_carlo(arrays)
+
+
+def test_haar_lanes_redraw_at_the_degenerate_norm(monkeypatch):
+    # about one draw in eleven of 4 standard normals has norm <= 1
+    twin = np.random.default_rng(8)
+    plain = _haar_lanes(twin, 64)
+    z = np.random.default_rng(8).standard_normal((64, 4))
+    kept = np.sqrt((z * z).sum(axis=1)) > 1.0
+    assert 0 < np.count_nonzero(kept) < 64
+    monkeypatch.setattr(mat2, "DEGENERATE_NORM", 1.0)
+    rng = np.random.default_rng(8)
+    lanes = _haar_lanes(rng, 64)
+    assert rng.bit_generator.state != twin.bit_generator.state  # it drew again
+    np.testing.assert_array_equal(lanes[:, kept], plain[:, kept])
+    assert not np.array_equal(lanes, plain)
 
 
 def test_pauli_pair_always_succeeds_immediately():

@@ -102,9 +102,9 @@ def test_ladder_dp_matches_closed_formulas(p, t_max):
     assert first.probs == [first_passage_pmf(p, t) for t in range(1, t_max + 1)]
     ret = dp_return_time(p, min(t_max, 25))
     assert ret.backing == "rational"
-    assert ret.probs == [return_pmf(p, t) for t in range(1, len(ret) + 1)]
+    assert ret.probs == [return_pmf(p, t) for t in range(1, len(ret.probs) + 1)]
     for exact, dp in ((first, dp_first_passage), (ret, dp_return_time)):
-        approx = dp(float(p), len(exact))
+        approx = dp(float(p), len(exact.probs))
         assert approx.backing == "float"
         assert all(abs(a - float(e)) <= 1e-12
                    for a, e in zip(approx.probs, exact.probs))
