@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytics, mat2, qgate
 from .mat2 import as_mat2, branch_maps
-from .walk import LANES, chunks, halve, sample_return_batch
+from .walk import LANES, as_int, chunks, halve, sample_return_batch
 
 
 class RunOutcome(Enum):
@@ -49,7 +49,12 @@ class ProtocolConfig:
     psi0: np.ndarray | None = None
 
     def validate(self) -> ProtocolConfig:
-        """This config with v, w and psi0 checked once and coerced to complex arrays."""
+        """This config checked once: v, w and psi0 as complex arrays, the sizes as ints.
+
+        s, m, seed, runs and workers go through walk.as_int, so numpy
+        integers become Python ints and a non-integral value raises
+        ValueError naming its field.
+        """
         if (self.v is None) != (self.w is None):
             raise ValueError("v and w must be supplied together")
         if self.v is None and self.p_override is None:
@@ -58,11 +63,13 @@ class ProtocolConfig:
             analytics.as_prob(self.p_override)
         if self.mode not in ("unitary", "contraction"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.m < 2:
+        s, m, seed, runs, workers = (as_int(getattr(self, name), name)
+                                     for name in ("s", "m", "seed", "runs", "workers"))
+        if m < 2:
             raise ValueError("gate budget m must be at least 2")
-        if self.s < 0:
+        if s < 0:
             raise ValueError("rewind depth s must be nonnegative")
-        if self.runs < 1 or self.workers < 1:
+        if runs < 1 or workers < 1:
             raise ValueError("runs and workers must be positive")
         v = w = psi0 = None
         if self.v is not None:
@@ -76,7 +83,8 @@ class ProtocolConfig:
             psi0 = qgate.as_state(self.psi0)
             if not mat2._unit_state(psi0):
                 raise ValueError("psi0 must be a unit state")
-        return replace(self, v=v, w=w, psi0=psi0)
+        return replace(self, v=v, w=w, psi0=psi0, s=s, m=m, seed=seed, runs=runs,
+                       workers=workers)
 
 
 @dataclass(frozen=True)
@@ -302,10 +310,10 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
     Gate t applies both branch maps in one real matmul. row + pos has the
     parity of t (see walk.LANES), so odd gates test only for arrivals at
     the top origin and even gates only for returns to the lower one. The
-    block sheds finished runs by walk.halve, the halving rule that
-    walk._ladder_mc shares; dead lanes among those it keeps stay masked.
-    Each gate still draws `width` uniforms and a lane reads the one of its
-    original index, so no draw depends on the halving.
+    block sheds finished runs by walk.halve after any gate, the halving
+    rule that walk._ladder_mc shares; dead lanes among those it keeps stay
+    masked. Each gate draws one uniform per lane the block holds, so the
+    draws after a halving depend on it (the sample's law does not).
 
     Unitary mode is the fast path: the maps of cp are isometries, the
     branch draw is u < cp.p and nothing is renormalised, so no run ends at
@@ -322,12 +330,12 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
            np.repeat(np.concatenate([cp.psi0.real, cp.psi0.imag])[:, None], width, axis=1))
     ref = (cp.refs @ psi).reshape(2, 4, width)
     ref /= np.sqrt(_norm2(ref[0]))
-    node, lane = np.zeros(width, dtype=np.int64), np.arange(width)
+    node = np.zeros(width, dtype=np.int64)
     alive = np.ones(width, dtype=bool)
     unitary = cp.p is not None
     n_alive = width
     for t in range(1, cp.m + 1):
-        u = rng.random(width).take(lane)
+        u = rng.random(node.size)
         amps = cp.branches @ psi
         if unitary:
             vert, live = u < cp.p, alive
@@ -370,7 +378,7 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
             return
         keep = halve(alive, n_alive)
         if keep is not None:
-            node, alive, lane = node.take(keep), alive.take(keep), lane.take(keep)
+            node, alive = node.take(keep), alive.take(keep)
             psi, ref = psi.take(keep, axis=1), ref.take(keep, axis=2)
     tally.n_trim_fail += n_alive
     tally.hist[cp.m] += n_alive
@@ -385,17 +393,18 @@ def monte_carlo(cfg: ProtocolConfig) -> Statistics:
 
     With matrices, each stream's runs go through the lane kernel
     (_run_lanes) in blocks of at most LANES runs (walk.chunks), which shed
-    finished runs without moving any draw. Unitary mode's states drift
-    from unit norm by about 1e-16/sqrt(p) per vertical step, which shows in
-    the last bits of min_fidelity and mean_fidelity (mean_fidelity can
-    exceed 1 by a few ulps); the fidelity against W^{-s} psi0 stays the
-    certificate. p_override configs are the classical walk, whose runs
+    finished runs by halving and draw one uniform per lane they hold at
+    each gate. Unitary mode's states drift from unit norm by about
+    1e-16/sqrt(p) per vertical step, which shows in the last bits of
+    min_fidelity and mean_fidelity (mean_fidelity can exceed 1 by a few
+    ulps); the fidelity against W^{-s} psi0 stays the certificate. p_override configs are the classical walk, whose runs
     succeed when they return to the lower origin within m steps:
-    walk.sample_return_batch samples exactly that.
+    walk.sample_return_batch samples exactly that, drawing a tile of steps
+    at a time once a stream holds fewer than LANES live runs.
 
-    The lane width is a module constant, not an option: it fixes the RNG
-    order, and the kernel's working set sets the campaign's peak memory
-    (walk.LANES gives the measured reason).
+    The lane width and the tile are module constants, not options: they fix
+    the RNG order, and the kernels' working sets set the campaign's peak
+    memory (walk.LANES and walk.TILE give the measured reasons).
     """
     cfg = cfg.validate()
     tally = _Tally()

@@ -31,14 +31,16 @@ FILE_DIGESTS = {
     ("dist", "--p", "0.3", "--tmax", "61", "--method", "mc", "--runs", "400000",
      "--seed", "7", "--workers", "2"):
         "09023ebc0c3a0ca158baf9efa0180b94f0e978e92c72529ead1eb2e6b2f6d874",
-    # streams of 4000 runs: compacted, then below LANES live runs
+    # streams of 4000 runs: compacted, then below LANES live runs, walked in
+    # tiles that never halve before the cap
     ("dist", "--p", "0.3", "--tmax", "61", "--method", "mc", "--runs", "8000",
      "--seed", "7", "--workers", "2"):
         "1237dbf87f23337ea862afaf62fa21a667dd03317fea21be9c0e80c77c61726e",
-    # streams of 750 runs: below LANES from the first step
+    # streams of 750 runs: below LANES from the first step, walked in tiles
+    # that halve
     ("dist", "--p", "0.3", "--tmax", "61", "--method", "mc", "--runs", "1500",
      "--seed", "7", "--workers", "2"):
-        "5f9e47bc93c2c3e7bd402e62e57ea6db0818b27c42920c8fd5feb5b073247368",
+        "77f4661a03af1784d03abc5396027ffbc17bb070b16c057962cdc0357b6ecda2",
 }
 
 CURVE_CSV_DIGEST = "bb462792bba5a022417871341fbe76290eb65d4c22c4de353d3e25c6edb10380"

@@ -12,7 +12,7 @@ from qrewind.engine import (LANES, ProtocolConfig, RunOutcome, _compile, _haar_l
 from qrewind.mat2 import (HADAMARD, SIGMA_X, SIGMA_Y, SIGMA_Z, branch_prob_invariant,
                           haar_unitary)
 from qrewind.qgate import random_state
-from qrewind.walk import run_walk_protocol
+from qrewind.walk import run_walk_protocol, sample_first_passage_batch
 
 
 def test_config_validation():
@@ -28,6 +28,15 @@ def test_config_validation():
         ProtocolConfig(p_override=1.5).validate()
     ProtocolConfig(v=0.5 * SIGMA_X, w=SIGMA_Z, mode="contraction").validate()
     ProtocolConfig(p_override=0.5).validate()
+    for name, value in (("m", 10.5), ("s", 1.5), ("runs", 10.0), ("workers", 2.0),
+                        ("seed", 3.0), ("m", "10")):
+        with pytest.raises(ValueError, match=name):  # not a TypeError from deep inside
+            ProtocolConfig(p_override=0.5, **{name: value}).validate()
+    sizes = {"s": np.int64(2), "m": np.int32(10), "seed": np.uint8(3),
+             "runs": np.int64(5), "workers": np.int16(2)}
+    cfg = ProtocolConfig(p_override=0.5, **sizes).validate()
+    for name, value in sizes.items():
+        assert type(getattr(cfg, name)) is int and getattr(cfg, name) == value
     with pytest.raises(ValueError):  # a psi0 argument is checked as cfg.psi0 is
         run_quantum_protocol(ProtocolConfig(v=HADAMARD, w=SIGMA_Z),
                              np.random.default_rng(0), psi0=np.array([3.0, 0.0]))
@@ -53,6 +62,26 @@ def test_monte_carlo_on_list_inputs_matches_arrays():
                                 workers=2, mode=mode)
         lists = replace(arrays, v=arrays.v.tolist(), w=SIGMA_Z.tolist())
         assert monte_carlo(lists) == monte_carlo(arrays)
+
+
+def test_numpy_int_sizes_match_python_ints():
+    # numpy integers used to reach walk.halve, whose int.bit_length they lack
+    rng = np.random.default_rng(2)
+    v, w = haar_unitary(rng), haar_unitary(rng)
+    for cfg in (ProtocolConfig(p_override=0.5, m=10, seed=4, runs=5),
+                ProtocolConfig(p_override=0.3, m=40, seed=4, runs=700, workers=2),
+                ProtocolConfig(v=v, w=w, s=2, m=30, seed=4, runs=700, workers=2),
+                ProtocolConfig(v=0.9 * v, w=0.9 * w, s=2, m=30, seed=4, runs=700,
+                               mode="contraction")):
+        numpy_sizes = replace(cfg, s=np.int64(cfg.s), m=np.int64(cfg.m),
+                              seed=np.int64(cfg.seed), runs=np.int64(cfg.runs),
+                              workers=np.int32(cfg.workers))
+        assert monte_carlo(numpy_sizes) == monte_carlo(cfg)
+    sample = sample_first_passage_batch(0.3, np.int64(50), np.int64(5), np.int64(1),
+                                        np.int64(2))
+    twin = sample_first_passage_batch(0.3, 50, 5, 1, 2)
+    assert sample.counts.tolist() == twin.counts.tolist()
+    assert sample.timeouts == twin.timeouts
 
 
 def test_haar_lanes_redraw_at_the_degenerate_norm(monkeypatch):
@@ -257,38 +286,38 @@ def test_kernel_classical_edges(p, hist):
 
 
 def test_classical_campaign_pinned_result():
-    # recorded before p_override campaigns moved onto walk.sample_return_batch;
-    # with at most LANES runs per stream the RNG draws are unchanged
+    # streams of 1000 runs, below LANES from the first step: walked in tiles
+    # of 8 steps, and both halve after step 16, so the bins from step 18 on
+    # moved when draws stopped covering the lanes a halving sheds
     stats = monte_carlo(ProtocolConfig(p_override=0.4, m=30, runs=2000, seed=3, workers=2))
     assert stats.to_dict() == {
-        "n_runs": 2000, "n_success": 1291, "n_trim_fail": 709, "n_abort": 0,
-        "success_rate": 0.6455, "min_fidelity": None, "mean_fidelity": None,
+        "n_runs": 2000, "n_success": 1292, "n_trim_fail": 708, "n_abort": 0,
+        "success_rate": 0.646, "min_fidelity": None, "mean_fidelity": None,
         "q_count_hist": {"2": 315, "4": 229, "6": 158, "8": 117, "10": 90, "12": 60,
-                         "14": 61, "16": 54, "18": 42, "20": 47, "22": 35, "24": 21,
-                         "26": 27, "28": 18, "30": 726}}
+                         "14": 61, "16": 54, "18": 38, "20": 35, "22": 30, "24": 34,
+                         "26": 26, "28": 23, "30": 730}}
 
 
 def test_amplitude_campaign_pinned_result():
-    # recorded before the unitary fast path; that path, the real-form states
-    # and the halving blocks kept every draw and moved only fidelity bits
+    # each gate draws one uniform per lane its halving block holds
     rng = np.random.default_rng(13)
     v, w = haar_unitary(rng), haar_unitary(rng)
     stats = monte_carlo(ProtocolConfig(v=v, w=w, s=3, m=200, runs=3000, seed=5,
                                        workers=2))
-    assert (stats.n_success, stats.n_trim_fail, stats.n_abort) == (2492, 508, 0)
+    assert (stats.n_success, stats.n_trim_fail, stats.n_abort) == (2465, 535, 0)
     assert stats.q_count_hist == {
-        2: 272, 4: 247, 6: 227, 8: 181, 10: 134, 12: 96, 14: 107, 16: 94, 18: 67,
-        20: 76, 22: 56, 24: 55, 26: 46, 28: 40, 30: 40, 32: 39, 34: 23, 36: 35,
-        38: 30, 40: 33, 42: 30, 44: 20, 46: 17, 48: 17, 50: 22, 52: 19, 54: 12,
-        56: 14, 58: 17, 60: 17, 62: 20, 64: 12, 66: 17, 68: 9, 70: 8, 72: 11,
-        74: 10, 76: 12, 78: 15, 80: 13, 82: 6, 84: 8, 86: 8, 88: 4, 90: 8, 92: 8,
-        94: 6, 96: 5, 98: 3, 100: 7, 102: 10, 104: 5, 106: 12, 108: 6, 110: 6,
-        112: 5, 114: 4, 116: 4, 118: 3, 120: 3, 122: 10, 124: 3, 126: 3, 128: 5,
-        130: 4, 132: 1, 134: 6, 136: 8, 138: 7, 140: 4, 142: 4, 144: 6, 146: 3,
-        148: 7, 150: 1, 152: 3, 154: 5, 156: 3, 158: 3, 160: 3, 162: 3, 164: 6,
-        166: 2, 168: 6, 170: 4, 174: 4, 176: 4, 178: 5, 180: 4, 184: 4, 186: 9,
-        188: 3, 190: 3, 192: 2, 194: 2, 196: 5, 198: 2, 200: 512}
-    assert stats.min_fidelity == pytest.approx(0.9999999999999993, abs=1e-12)
+        2: 277, 4: 262, 6: 230, 8: 173, 10: 133, 12: 105, 14: 98, 16: 92, 18: 79,
+        20: 69, 22: 53, 24: 46, 26: 50, 28: 40, 30: 45, 32: 33, 34: 33, 36: 32, 38: 23,
+        40: 26, 42: 21, 44: 20, 46: 18, 48: 16, 50: 18, 52: 25, 54: 16, 56: 19, 58: 20,
+        60: 22, 62: 15, 64: 9, 66: 9, 68: 14, 70: 10, 72: 12, 74: 9, 76: 8, 78: 11,
+        80: 6, 82: 11, 84: 7, 86: 8, 88: 12, 90: 7, 92: 6, 94: 8, 96: 6, 98: 4, 100: 5,
+        102: 10, 104: 15, 106: 8, 108: 5, 110: 5, 112: 5, 114: 4, 116: 5, 118: 10,
+        120: 3, 122: 2, 124: 2, 126: 4, 128: 4, 130: 4, 132: 6, 136: 4, 138: 3, 140: 2,
+        142: 4, 144: 2, 146: 4, 148: 9, 150: 8, 152: 4, 154: 5, 156: 3, 158: 2, 160: 3,
+        162: 4, 164: 3, 166: 2, 168: 3, 170: 2, 172: 3, 174: 2, 176: 3, 178: 2, 180: 1,
+        182: 1, 184: 4, 186: 2, 188: 1, 190: 2, 192: 4, 194: 1, 196: 2, 198: 6,
+        200: 536}
+    assert stats.min_fidelity == pytest.approx(0.9999999999999996, abs=1e-12)
     assert stats.mean_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
@@ -298,10 +327,10 @@ def test_contraction_campaign_pinned_result():
     v, w = haar_unitary(rng), haar_unitary(rng)
     stats = monte_carlo(ProtocolConfig(v=0.9 * v, w=0.9 * w, s=3, m=60, runs=3000,
                                        seed=11, workers=2, mode="contraction"))
-    assert (stats.n_success, stats.n_trim_fail, stats.n_abort) == (541, 0, 2459)
+    assert (stats.n_success, stats.n_trim_fail, stats.n_abort) == (500, 0, 2500)
     assert stats.q_count_hist == {
-        1: 1060, 2: 1069, 3: 289, 4: 276, 5: 120, 6: 82, 7: 37, 8: 27, 9: 17,
-        10: 9, 11: 4, 12: 6, 13: 1, 15: 1, 17: 1, 19: 1}
+        1: 1022, 2: 1083, 3: 295, 4: 256, 5: 115, 6: 94, 7: 54, 8: 33, 9: 15, 10: 14,
+        11: 6, 12: 8, 13: 2, 14: 1, 16: 1, 24: 1}
     assert stats.min_fidelity == pytest.approx(1.0, abs=1e-12)
     assert stats.mean_fidelity == pytest.approx(1.0, abs=1e-12)
 
@@ -311,15 +340,14 @@ def test_fixed_psi0_campaign_pinned_result():
     v, w = haar_unitary(rng), haar_unitary(rng)
     stats = monte_carlo(ProtocolConfig(v=v, w=w, s=6, m=120, runs=2500, seed=12,
                                        workers=2, psi0=random_state(rng)))
-    assert (stats.n_success, stats.n_trim_fail, stats.n_abort) == (2353, 147, 0)
+    assert (stats.n_success, stats.n_trim_fail, stats.n_abort) == (2339, 161, 0)
     assert stats.q_count_hist == {
-        2: 1764, 4: 91, 6: 64, 8: 54, 10: 41, 12: 43, 14: 18, 16: 27, 18: 16,
-        20: 24, 22: 16, 24: 13, 26: 11, 28: 11, 30: 10, 32: 8, 34: 6, 36: 5,
-        38: 8, 40: 5, 42: 6, 44: 10, 46: 7, 48: 3, 50: 9, 52: 2, 54: 3, 56: 2,
-        58: 2, 60: 3, 62: 4, 64: 3, 66: 3, 68: 5, 70: 3, 72: 5, 74: 1, 76: 4,
-        78: 3, 80: 4, 82: 3, 84: 4, 86: 2, 88: 2, 92: 1, 94: 4, 96: 3, 98: 1,
-        100: 2, 104: 1, 106: 1, 108: 2, 110: 3, 112: 2, 114: 2, 116: 1, 118: 1,
-        120: 148}
+        2: 1773, 4: 90, 6: 78, 8: 58, 10: 35, 12: 36, 14: 19, 16: 22, 18: 18, 20: 14,
+        22: 12, 24: 15, 26: 9, 28: 14, 30: 7, 32: 8, 34: 4, 36: 5, 38: 6, 40: 8, 42: 5,
+        44: 10, 46: 7, 48: 1, 50: 4, 52: 5, 54: 5, 56: 6, 58: 1, 60: 1, 62: 2, 64: 3,
+        66: 2, 68: 1, 70: 4, 72: 2, 76: 2, 78: 2, 80: 4, 82: 5, 84: 4, 86: 2, 88: 3,
+        90: 2, 94: 3, 98: 3, 100: 1, 106: 4, 108: 3, 110: 2, 112: 3, 114: 2, 116: 1,
+        118: 1, 120: 163}
     assert stats.min_fidelity == pytest.approx(1.0, abs=1e-12)
     assert stats.mean_fidelity == pytest.approx(1.0, abs=1e-12)
 

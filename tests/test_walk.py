@@ -150,22 +150,38 @@ def test_mc_agrees_with_dp():
         assert abs(pmf[t] - expected) < 5 * sigma, t
 
 
-@pytest.mark.parametrize("p", [0.3, 0.7])
-@pytest.mark.parametrize("runs, workers", [(3000, 1), (2 * 10**5, 2)])
-def test_return_sampler_agrees_with_dp(p, runs, workers):
-    cap = 61
-    sample = sample_return_batch(p, runs=runs, cap=cap, seed=21, workers=workers)
-    if runs == 3000:  # the stream went on below LANES live lanes, masked
-        assert sample.timeouts < LANES
-    dist = dp_return_time(p, cap)
+def _assert_matches_dp(sample, dist, runs):
+    """5 sigma per bin and for the censored tail against an exact DP row."""
     pmf = sample.empirical_pmf()
-    for t in range(1, cap + 1):
+    for t in range(1, len(dist.probs) + 1):
         expected = dist.prob(t)
         sigma = math.sqrt(max(expected * (1 - expected), 1e-12) / runs)
         assert abs(pmf[t] - expected) < 5 * sigma, t
     survival = 1 - sum(dist.probs)
     sigma = math.sqrt(survival * (1 - survival) / runs)
     assert abs(sample.timeouts / runs - survival) < 5 * sigma
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+@pytest.mark.parametrize("runs, workers", [(3000, 1), (2 * 10**5, 2), (2 * 10**5, 256)])
+def test_return_sampler_agrees_with_dp(p, runs, workers):
+    # 3000 runs go on below LANES live lanes, walked in tiles; 256 streams
+    # of 781 runs are walked in tiles from the first step
+    cap = 61
+    sample = sample_return_batch(p, runs=runs, cap=cap, seed=21, workers=workers)
+    if runs == 3000:
+        assert sample.timeouts < LANES
+    _assert_matches_dp(sample, dp_return_time(p, cap), runs)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_first_passage_sampler_in_tiles_agrees_with_dp(p):
+    # streams of 781 runs: below LANES from the first step, so every step
+    # is drawn in tiles and every shed lane goes by halving
+    runs, cap = 2 * 10**5, 61
+    sample = sample_first_passage_batch(p, runs=runs, cap=cap, seed=22, workers=256)
+    assert runs // 256 < LANES
+    _assert_matches_dp(sample, dp_first_passage(p, cap), runs)
 
 
 @pytest.mark.parametrize("sampler, dp", [(sample_first_passage_batch, dp_first_passage),
@@ -178,15 +194,7 @@ def test_sampler_walks_streams_in_chunks(monkeypatch, sampler, dp):
     sample = sampler(0.4, runs=runs, cap=cap, seed=5, workers=2)
     assert int(sample.counts.sum()) + sample.timeouts == runs
     assert sample.counts.tolist() != whole.counts.tolist()  # the chunks drew anew
-    dist = dp(0.4, cap)
-    pmf = sample.empirical_pmf()
-    for t in range(1, cap + 1):
-        expected = dist.prob(t)
-        sigma = math.sqrt(max(expected * (1 - expected), 1e-12) / runs)
-        assert abs(pmf[t] - expected) < 5 * sigma, t
-    survival = 1 - sum(dist.probs)
-    sigma = math.sqrt(survival * (1 - survival) / runs)
-    assert abs(sample.timeouts / runs - survival) < 5 * sigma
+    _assert_matches_dp(sample, dp(0.4, cap), runs)
     # a stream that fits in one chunk is walked exactly as without chunks
     monkeypatch.setattr(walk, "CHUNK", runs // 2)
     same = sampler(0.4, runs=runs, cap=cap, seed=5, workers=2)
@@ -195,17 +203,19 @@ def test_sampler_walks_streams_in_chunks(monkeypatch, sampler, dp):
 
 
 @pytest.mark.parametrize("sampler, counts", [
-    (sample_first_passage_batch, {1: 296, 125: 1, 185: 1, 507: 1, 1347: 1}),
-    (sample_return_batch, {2: 297, 24: 1, 420: 1, 1348: 1}),
+    (sample_first_passage_batch, {1: 299}),
+    (sample_return_batch, {2: 297, 318: 1, 718: 1}),
 ])
 def test_chunks_that_finish_before_the_cap_pinned(monkeypatch, sampler, counts):
-    # one stream of three chunks of 100 runs; at p near 1 nearly every run
-    # ends at its first chance, and at seed 5 every chunk's last run ends
-    # before the cap, so the next chunk draws from where that one stopped
+    # one stream of three chunks of 100 runs, walked in tiles of 81 steps
+    # until they halve; at p near 1 nearly every run ends at its first
+    # chance. At seed 5 the first chunk keeps one run to the cap, and the
+    # second chunk's last run ends at step 1 or 2, inside its first tile:
+    # the next chunk draws after the rest of that tile's draws
     monkeypatch.setattr(walk, "CHUNK", 100)
     sample = sampler(0.99, runs=300, cap=2000, seed=5, workers=1)
     assert {t: int(c) for t, c in enumerate(sample.counts) if c} == counts
-    assert sample.timeouts == 0
+    assert sample.timeouts == 1
 
 
 def test_batch_sampler_memory_peak():
@@ -221,6 +231,23 @@ def test_batch_sampler_memory_peak():
         tracemalloc.stop()
     assert int(sample.counts.sum()) + sample.timeouts == 4 * 10**5
     assert peak <= 4004459
+
+
+def test_tiled_sampler_memory_peak():
+    # the bench's classical campaign shape: streams of 1000 runs, walked in
+    # tiles from the first step. A tile's uniforms, step increments and
+    # signs take about 104 KB at the peak (1000 lanes x 8 steps), whatever
+    # the run count; the peak read 160596 bytes (35712 with one draw per
+    # step and no tiles)
+    sample_return_batch(0.3, 1000, 21, 5, 2)  # first-call allocations
+    tracemalloc.start()
+    try:
+        sample = sample_return_batch(0.37, 2000, 200, 5, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(sample.counts.sum()) + sample.timeouts == 2000
+    assert peak <= 192 * 1024
 
 
 def test_position_dtype_fits_the_cap():
