@@ -111,7 +111,8 @@ def streams(seed: int, runs: int, workers: int):
     index order, the first runs % workers streams taking one extra run, so
     results are bit-identical for a fixed (seed, workers) pair on any host.
     """
-    runs, workers = as_int(runs, "runs"), as_int(workers, "workers")
+    seed, runs, workers = (as_int(seed, "seed"), as_int(runs, "runs"),
+                           as_int(workers, "workers"))
     if runs < 1 or not 1 <= workers <= MAX_STREAMS:
         raise ValueError(f"runs must be positive and workers in [1, {MAX_STREAMS}]")
     if seed < 0:

@@ -34,6 +34,14 @@ def test_batch_sampler_rejects_bad_probability(p):
         run_walk_protocol(p, 10, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("name, value", [("runs", 10.0), ("cap", 5.5), ("seed", 1.5),
+                                         ("workers", 2.0)])
+def test_batch_sampler_rejects_non_integral_sizes(name, value):
+    sizes = {"runs": 10, "cap": 5, "seed": 0, "workers": 1, name: value}
+    with pytest.raises(ValueError, match=name):
+        sample_first_passage_batch(0.3, **sizes)
+
+
 def test_sample_first_passage_statistics():
     sample = sample_first_passage_batch(0.5, runs=10**5, cap=9, seed=7)
     pmf = sample.empirical_pmf()
