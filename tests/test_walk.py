@@ -243,10 +243,10 @@ def test_batch_sampler_memory_peak():
 
 def test_tiled_sampler_memory_peak():
     # the bench's classical campaign shape: streams of 1000 runs, walked in
-    # tiles from the first step. A tile's uniforms, step increments and
-    # signs take about 104 KB at the peak (1000 lanes x 8 steps), whatever
-    # the run count; the peak read 160596 bytes (35712 with one draw per
-    # step and no tiles)
+    # tiles from the first step. The peak holds the arrays of about two
+    # tiles of 1000 lanes x 8 steps (the last one's steps and signs while
+    # the next one draws), whatever the run count; it read 160596 bytes
+    # (35712 with one draw per step and no tiles)
     sample_return_batch(0.3, 1000, 21, 5, 2)  # first-call allocations
     tracemalloc.start()
     try:
