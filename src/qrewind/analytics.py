@@ -17,6 +17,7 @@ whose square-root factor satisfies a four-term holonomic recurrence.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,9 +27,10 @@ import numpy as np
 
 GENFUNC_SERIES_GUARD = 10**3
 REQUIRED_M_CAP = 10**7
-# required_m's coefficient blocks: the first size, doubled per block up to the last
-REQUIRED_M_BLOCK = 256
-REQUIRED_M_BLOCK_MAX = 2048
+# Coefficients per block of required_m. Every bench plan needs at least
+# 9861 (p_min 0.05), so smaller first blocks would only add blocks; at
+# p_min 0.05 the last block of 2048 ends 379 coefficients past the answer.
+REQUIRED_M_BLOCK = 2048
 
 
 def is_rational_prob(p) -> bool:
@@ -45,6 +47,23 @@ def as_prob(p):
     if not 0 <= q <= 1:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
     return q
+
+
+def as_int(value, name: str, least: int | None = None, most: int | None = None) -> int:
+    """value as a Python int (operator.index), checked against the bounds given.
+
+    ValueError naming it when value is not integral, below least, or
+    outside [least, most] when most is given too.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if most is not None and not least <= n <= most:
+        raise ValueError(f"{name} must lie in [{least}, {most}], got {n}")
+    if least is not None and n < least:
+        raise ValueError(f"{name} must be at least {least}, got {n}")
+    return n
 
 
 @lru_cache(maxsize=None)
@@ -105,8 +124,7 @@ def first_passage_pmf(p, t: int):
     Fraction; float p is evaluated exactly over its dyadic value and rounded
     once, so float mode agrees with the rational route to the last bit.
     """
-    if t < 1:
-        raise ValueError("step count must be positive")
+    t = as_int(t, "t", 1)
     q = as_prob(p)
     exact = _first_passage_exact(Fraction(q), t)
     return exact if isinstance(q, Fraction) else float(exact)
@@ -122,8 +140,7 @@ def return_pmf(p, t: int):
     first_passage_pmf but keeps its own triple sum, so the two routes stay
     independent. Float p is rounded once, as in first_passage_pmf.
     """
-    if t < 1:
-        raise ValueError("step count must be positive")
+    t = as_int(t, "t", 1)
     q = as_prob(p)
     exact = _return_exact(Fraction(q), t)
     return exact if isinstance(q, Fraction) else float(exact)
@@ -172,15 +189,17 @@ def _hitting_profiles(p, t_max: int) -> np.ndarray:
         P(T1 + T2 = t) = -(h_{t+2} + c h_t) / 2p^2  (even t >= 4),
     each negation taken as 0 - x, so a zero coefficient gives +0. ValueError
     for p outside [0, 1] (1e-12 of grid roundoff is forgiven) and for
-    0 < p below about 1e-154, where 2 p^2 underflows.
+    0 < p below about 1e-154, where 2 p^2 underflows, and for a t_max that
+    is not a nonnegative integer.
     """
+    t_max = as_int(t_max, "t_max", 0)
     p = float(p)
     if not -1e-12 <= p <= 1.0 + 1e-12:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
     p = min(max(p, 0.0), 1.0)
     _reject_underflowing_square(p)
     out = np.zeros((2, t_max + 1))
-    if p == 0.0 or t_max < 1:
+    if p == 0.0 or t_max == 0:
         return out
     c = 2.0 * p - 1.0
     h = _sqrt_coeffs(c * c, 2, t_max // 2 + 1, 0.0, 1.0)[1:]  # h_{2k} at k
@@ -216,8 +235,7 @@ def cumulative_success(p, m: int, mode: str = "full"):
     mode "full": P(T1 + T2 <= m), the complete rewinding protocol.
     Exact Fraction for rational p, float otherwise.
     """
-    if m < 0:
-        raise ValueError("gate budget must be nonnegative")
+    m = as_int(m, "m", 0)
     if mode not in ("commutator", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     if is_rational_prob(p):
@@ -258,8 +276,7 @@ def genfunc_series(p, t_max: int) -> list:
     c_1 = p and c_N = p * sum_{i+j=N-1} c_i c_j + (1 - 2p) c_{N-2}.
     Exact Fractions for rational p, floats otherwise.
     """
-    if t_max < 1 or t_max > GENFUNC_SERIES_GUARD:
-        raise ValueError(f"t_max must lie in [1, {GENFUNC_SERIES_GUARD}]")
+    t_max = as_int(t_max, "t_max", 1, GENFUNC_SERIES_GUARD)
     q = as_prob(p)
     zero = Fraction(0) if isinstance(q, Fraction) else 0.0
     coeffs = [zero] * (t_max + 1)
@@ -300,11 +317,10 @@ def required_m(p_min, q, dt: float | None = None, tau: float | None = None,
 
     The running sum takes _hitting_profiles' return row in its operation
     order, block by block: each block runs REQUIRED_M_BLOCK coefficients
-    (doubling per block up to REQUIRED_M_BLOCK_MAX), adds their terms to the
-    carried sum with one sequential cumsum and stops at the first budget that
-    reaches q. It holds one block of at most REQUIRED_M_BLOCK_MAX
-    coefficients at a time; at p_min 0.05 (9861 needed) a cap of 2048 stops
-    123 past the answer, where 8192 ran to 16128.
+    (read at call time), adds their terms to the carried sum with one
+    sequential cumsum and stops at the first budget that reaches q. It holds
+    one block at a time; at p_min 0.05 (9861 coefficients needed) the last
+    block ends 379 past the answer.
     """
     p_min = float(p_min)
     q = float(q)
@@ -318,15 +334,13 @@ def required_m(p_min, q, dt: float | None = None, tau: float | None = None,
     for name, value in (("dt", dt), ("tau", tau)):
         if value is not None and not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive")
-    if s < 0:
-        raise ValueError("s must be nonnegative")
+    s = as_int(s, "s", 0)
     c = 2.0 * p_min - 1.0
     c2 = c * c
     denom = 2.0 * p_min * p_min
     h4, h2 = _sqrt_coeffs(c2, 2, 2, 0.0, 1.0)[2:].tolist()  # h_2, h_4
     cums = np.array([p_min * p_min])        # P(T1 + T2 <= 2)
     budget = 2                              # the budget of cums[0]
-    size = REQUIRED_M_BLOCK
     while True:
         hit = np.flatnonzero(cums >= q)
         if hit.size:
@@ -336,7 +350,7 @@ def required_m(p_min, q, dt: float | None = None, tau: float | None = None,
             return TrimPlan(m=m, worst_grid_p=p_min, worst_grid_prob=float(cums[k]),
                             t_prime=t_prime)
         budget += 2 * (cums.size - 1)
-        n = min(size, (REQUIRED_M_CAP - budget) // 2)
+        n = min(REQUIRED_M_BLOCK, (REQUIRED_M_CAP - budget) // 2)
         if n < 1:
             raise ValueError(f"no gate budget up to {REQUIRED_M_CAP} reaches success "
                              f"{q} for p_min = {p_min}")
@@ -344,7 +358,6 @@ def required_m(p_min, q, dt: float | None = None, tau: float | None = None,
         h = _sqrt_coeffs(c2, budget + 4, n, h4, h2)
         h4, h2 = h[-2:].tolist()
         cums = np.cumsum(np.concatenate((cums[-1:], -(h[2:] + c * h[1:-1]) / denom)))
-        size = min(2 * size, REQUIRED_M_BLOCK_MAX)
 
 
 # ── Distribution containers ──────────────────────────────────────────────
@@ -375,7 +388,11 @@ class HittingDist:
 
 
 def first_passage_dist(p, t_max: int) -> HittingDist:
-    """HittingDist of T1 from the closed formula, matching p's backing."""
+    """HittingDist of T1 from the closed formula, matching p's backing.
+
+    ValueError for a t_max that is not a positive integer, as dp_first_passage.
+    """
+    t_max = as_int(t_max, "t_max", 1)
     if is_rational_prob(p):
         q = as_prob(p)
         return HittingDist([_first_passage_exact(q, t) for t in range(1, t_max + 1)])

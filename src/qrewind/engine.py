@@ -19,8 +19,9 @@ from enum import Enum
 import numpy as np
 
 from . import analytics, mat2, qgate
+from .analytics import as_int
 from .mat2 import as_mat2, branch_maps
-from .walk import LANES, as_int, chunks, halve, sample_return_batch
+from .walk import LANES, chunks, halve, sample_return_batch
 
 
 class RunOutcome(Enum):
@@ -51,9 +52,9 @@ class ProtocolConfig:
     def validate(self) -> ProtocolConfig:
         """This config checked once: v, w and psi0 as complex arrays, the sizes as ints.
 
-        s, m, seed, runs and workers go through walk.as_int, so numpy
-        integers become Python ints and a non-integral value raises
-        ValueError naming its field.
+        s, m, seed, runs and workers go through analytics.as_int, so numpy
+        integers become Python ints, and a non-integral value, or one below
+        its field's least value, raises ValueError naming its field.
         """
         if (self.v is None) != (self.w is None):
             raise ValueError("v and w must be supplied together")
@@ -63,14 +64,9 @@ class ProtocolConfig:
             analytics.as_prob(self.p_override)
         if self.mode not in ("unitary", "contraction"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        s, m, seed, runs, workers = (as_int(getattr(self, name), name)
-                                     for name in ("s", "m", "seed", "runs", "workers"))
-        if m < 2:
-            raise ValueError("gate budget m must be at least 2")
-        if s < 0:
-            raise ValueError("rewind depth s must be nonnegative")
-        if runs < 1 or workers < 1:
-            raise ValueError("runs and workers must be positive")
+        s, m, seed, runs, workers = (
+            as_int(getattr(self, name), name, least) for name, least in
+            (("s", 0), ("m", 2), ("seed", None), ("runs", 1), ("workers", 1)))
         v = w = psi0 = None
         if self.v is not None:
             v, w = as_mat2(self.v), as_mat2(self.w)
@@ -107,8 +103,9 @@ class _CompiledProtocol:
     branches stacks these real forms of x^ and y^, w_pow_real is that of
     W^s, and refs maps psi0 to the reference columns of _run_lanes.
     In contraction mode the maps are unscaled and p is None. In unitary
-    mode (the fast path) p is mat2.branch_prob_invariant, the vertical
-    weight |x^ psi|^2 of every unit state, and x^ and y^ are divided by
+    mode (the fast path) p is mat2._vertical_weight of x^, the weight
+    |x^ psi|^2 of every unit state and bit for bit
+    mat2.branch_prob_invariant, and x^ and y^ are divided by
     the square roots of their weights p and ||y^||_F^2 / 2 = 1 - p. That
     makes both isometries, up to about 1e-16/sqrt(p) and 1e-16/sqrt(1 - p)
     from the roundoff in their entries. A map that is exactly zero (p = 0
@@ -148,7 +145,7 @@ def _compile(cfg: ProtocolConfig) -> _CompiledProtocol:
     maps = np.stack([half_comm, half_anti, w_pow, w_inv_pow, 1j * w_inv_pow])
     p = None
     if cfg.mode == "unitary":
-        p = float(mat2._branch_prob(v, w))
+        p = float(mat2._vertical_weight(half_comm))
         q = float(np.vdot(half_anti, half_anti).real) / 2.0
         for k, weight in enumerate((p, q)):
             if weight > 0.0:
@@ -277,7 +274,11 @@ def _haar_lanes(rng: np.random.Generator, n: int) -> np.ndarray:
         z[small] = rng.standard_normal((np.count_nonzero(small), 4))
         nrm = np.sqrt((z * z).sum(axis=1))
         small = nrm <= mat2.DEGENERATE_NORM
-    return (z * (1.0 / nrm)[:, None]).T  # rounds as the complex v / nrm of random_state
+    # The law is random_state's, not the bits: the division rounds as its
+    # v / nrm does, but its norm sums the squares in another order, so a
+    # lane can differ from a per-call draw in the last bits (2438 of 20000
+    # lanes from seed 5, by up to 3.3e-16).
+    return (z * (1.0 / nrm)[:, None]).T
 
 
 def _norm2(amps: np.ndarray) -> np.ndarray:
@@ -301,15 +302,13 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
                tally: _Tally) -> None:
     """Run one block of `width` amplitude-level protocol runs and tally them.
 
-    Each lane holds one run: its walk node as one integer, node = 2h + row,
-    with row the rail and h the signed position (pos on the lower rail, -pos
-    on the upper one), so a vertical step maps node to 1 - node, a
-    horizontal one to node + 2, and the lower and top origins are 0 and 1;
-    its alive flag; its real-form state psi (see _CompiledProtocol); and
-    ref, whose dot products with psi are Re and Im <W^{-s} psi0 | psi>.
-    Gate t applies both branch maps in one real matmul. row + pos has the
-    parity of t (see walk.LANES), so odd gates test only for arrivals at
-    the top origin and even gates only for returns to the lower one. The
+    Each lane holds one run: its signed position h, as walk._ladder_mc
+    holds it (walk.LANES gives the encoding and the parity rule), in int64,
+    which steps faster here than int32; its alive flag; its real-form state
+    psi (see _CompiledProtocol); and ref, whose dot products with psi are
+    Re and Im <W^{-s} psi0 | psi>. Gate t applies both branch maps in one
+    real matmul. A lane with h = 0 has arrived at the top origin after an
+    odd gate and returned to the lower one after an even gate. The
     block sheds finished runs by walk.halve after any gate, the halving
     rule that walk._ladder_mc shares; dead lanes among those it keeps stay
     masked. Each gate draws one uniform per lane the block holds, so the
@@ -330,12 +329,12 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
            np.repeat(np.concatenate([cp.psi0.real, cp.psi0.imag])[:, None], width, axis=1))
     ref = (cp.refs @ psi).reshape(2, 4, width)
     ref /= np.sqrt(_norm2(ref[0]))
-    node = np.zeros(width, dtype=np.int64)
+    h = np.zeros(width, dtype=np.int64)
     alive = np.ones(width, dtype=bool)
     unitary = cp.p is not None
     n_alive = width
     for t in range(1, cp.m + 1):
-        u = rng.random(node.size)
+        u = rng.random(h.size)
         amps = cp.branches @ psi
         if unitary:
             vert, live = u < cp.p, alive
@@ -345,9 +344,9 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
             vert, live = u < p_vert, alive & (u < p_vert + p_horiz)
             psi = np.where(vert, amps[:4], amps[4:])
             psi /= np.sqrt(np.where(live, np.where(vert, p_vert, p_horiz), 1.0))
-        node = np.where(vert, 1 - node, node + 2)
+        h = np.where(vert, -h, h + 1)
         if t & 1:  # arrivals only
-            arrived = live & (node == 1)
+            arrived = live & (h == 0)
             if arrived.any():  # wait W^s at the top origin
                 waited = cp.w_pow_real @ psi
                 if not unitary:
@@ -360,7 +359,7 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
                 continue
             alive, n_done = live, 0
         else:  # completions only
-            done = live & (node == 0)
+            done = live & (h == 0)
             n_done = int(np.count_nonzero(done))
             if n_done:
                 fidelity = _norm2((ref.compress(done, axis=2)
@@ -378,7 +377,7 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
             return
         keep = halve(alive, n_alive)
         if keep is not None:
-            node, alive = node.take(keep), alive.take(keep)
+            h, alive = h.take(keep), alive.take(keep)
             psi, ref = psi.take(keep, axis=1), ref.take(keep, axis=2)
     tally.n_trim_fail += n_alive
     tally.hist[cp.m] += n_alive
@@ -440,8 +439,7 @@ def success_curve(p: float, m_max: int = 100) -> analytics.SuccessCurve:
     p is the branch probability of the switch gate; for a unitary pair
     (V, W) it is mat2.branch_prob_invariant(V, W).
     """
-    if m_max < 1:
-        raise ValueError("m_max must be positive")
+    m_max = as_int(m_max, "m_max", 1)
     fp_cum, ret_cum = analytics.cumulative_profile(float(p), m_max)
     return analytics.SuccessCurve(
         m=list(range(1, m_max + 1)),

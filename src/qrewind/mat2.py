@@ -346,10 +346,9 @@ def branch_maps(v, w) -> tuple[np.ndarray, np.ndarray]:
     return (wv - vw) / 2.0, (vw + wv) / 2.0
 
 
-def _branch_prob(v, w):
-    """branch_prob_invariant without the checks, one p per pair of (..., 2, 2) stacks."""
-    vw, wv = v @ w, w @ v
-    xh = ((wv - vw) / 2.0).reshape(*v.shape[:-2], 4)  # x^ of branch_maps
+def _vertical_weight(xh):
+    """min(||x^||_F^2 / 2, 1) per x^ of a (..., 2, 2) stack: branch_prob_invariant's p."""
+    xh = xh.reshape(*xh.shape[:-2], 4)
     return np.minimum(np.vecdot(xh, xh).real / 2.0, 1.0)
 
 
@@ -374,7 +373,7 @@ def branch_prob_invariant(v, w):
     if not (_unitary(v).all() and _unitary(w).all()):
         raise ValueError("branch_prob_invariant requires unitary inputs; "
                          "use branch_prob_state for contractions")
-    p = _branch_prob(v, w)
+    p = _vertical_weight(branch_maps(v, w)[0])
     return float(p[0]) if single else p
 
 

@@ -14,14 +14,13 @@ the scalar trimmed two-phase controller at the classical level.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
-from .analytics import HittingDist, as_prob
+from .analytics import HittingDist, as_int, as_prob
 
 DP_HORIZON_GUARD = 10**4
 
@@ -37,9 +36,12 @@ MAX_STREAMS = 1024  # bound on workers: SeedSequence.spawn allocates per stream
 
 # Runs advanced together. engine.monte_carlo's amplitude kernel works in
 # blocks of at most LANES runs, whose width fixes the order of the RNG
-# draws. Both lane kernels test for finished runs only on steps of the
-# right parity: row + pos has the parity of the step count t, so the upper
-# origin is reached only at odd t and the lower one only at even t. Below
+# draws. Both lane kernels (_ladder_mc and engine._run_lanes) hold a run's
+# signed position h, pos on the lower rail and -pos on the upper one: a
+# horizontal step adds 1 to h and a vertical one negates it. row + pos has
+# the parity of the step count t, so h = 0 is the upper origin at odd t
+# and the lower one at even t, and both kernels test h == 0 only on steps
+# of the target's parity, with no rail stored. Below
 # LANES lanes both shed finished runs by one rule, halving: once at most
 # half of a block's lanes are live, it keeps them, in order, in its first
 # width >> k lanes. Each draw is one uniform per lane the block holds, so
@@ -83,13 +85,8 @@ TILE = 8192
 # module constant, not an option, for the same reason as LANES.
 CHUNK = 2**20
 
-
-def as_int(value, name: str) -> int:
-    """value as a Python int (operator.index); ValueError naming it when not integral."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+# Largest cap of _ladder_mc, whose positions are int32: |h| <= t <= cap.
+MAX_CAP = np.iinfo(np.int32).max
 
 
 def halve(live: np.ndarray, n_live: int) -> np.ndarray | None:
@@ -145,14 +142,6 @@ class FirstPassageSample:
         return self.counts / self.runs
 
 
-def _position_dtype(cap: int):
-    """Integer type of the signed positions of a walk of at most cap steps.
-
-    |h| <= t <= cap, so int32 holds them unless cap reaches 2^31.
-    """
-    return np.int32 if cap <= np.iinfo(np.int32).max else np.int64
-
-
 def _ladder_mc(p, runs: int, cap: int, seed: int, workers: int,
                target_row: Row) -> FirstPassageSample:
     """Monte Carlo twin of _ladder_dp: sampled first hits of an origin.
@@ -160,32 +149,28 @@ def _ladder_mc(p, runs: int, cap: int, seed: int, workers: int,
     Each stream of streams(seed, runs, workers) walks its runs in chunks of
     at most CHUNK, one after another from the stream's generator. A chunk
     walks its runs together as lanes, each holding its signed position h
-    (pos on the lower rail, -pos on the upper one): a horizontal step adds
-    1 to h and a vertical step negates it, applied as one multiply by
-    +-1. The rail need not be stored, because row + pos has the parity of
-    the step count t: a lane with h = 0 sits at the upper origin at odd t
-    and at the lower one at even t. So only steps of the target's parity
-    test for hits, and step t counts the live lanes with h = 0 into
-    counts[t]. While at least LANES lanes stay live, each step draws one
-    uniform per lane and finished lanes are compacted away. Below that the
-    chunk walks in tiles: one rng.random((k, width)) call gives the next
-    k = TILE // width steps of its `width` lanes (fewer at the cap), and
-    finished lanes stay in place, masked, until the tile ends and halve
-    sheds them. A chunk whose last run ends inside a tile stops there, and
-    the rest of that tile's draws are spent: the next chunk of the stream
-    draws after them. Runs still live after step cap are timeouts. The
-    p = 0 walk drifts right forever, so every run times out. A stream of at
-    most CHUNK runs is one chunk, so its draws, and the sample, do not
-    depend on CHUNK.
+    (see LANES for the encoding and the parity rule); a step adds 1 to h
+    or negates it as one multiply by +-1, and step t of the target's parity
+    counts the live lanes with h = 0 into counts[t]. While at least LANES
+    lanes stay live, each step draws one uniform per lane and finished
+    lanes are compacted away. Below that the chunk walks in tiles: one
+    rng.random((k, width)) call gives the next k = TILE // width steps of
+    its `width` lanes (fewer at the cap), and finished lanes stay in place,
+    masked, until the tile ends and halve sheds them. A chunk whose last run
+    ends inside a tile stops there, and the rest of that tile's draws are
+    spent: the next chunk of the stream draws after them. Runs still live
+    after step cap are timeouts. The p = 0 walk drifts right forever, so
+    every run times out. A stream of at most CHUNK runs is one chunk, so its
+    draws, and the sample, do not depend on CHUNK. ValueError for a cap
+    outside [0, MAX_CAP].
     """
     p = float(as_prob(p))
-    cap = as_int(cap, "cap")
+    cap = as_int(cap, "cap", 0, MAX_CAP)
     parity = 1 if target_row is Row.UPPER else 0
-    dtype = _position_dtype(cap)
     counts = np.zeros(cap + 1, dtype=np.int64)
     timeouts = 0
     for rng, n_live in chunks(seed, runs, workers, CHUNK):
-        h = np.zeros(n_live, dtype=dtype)
+        h = np.zeros(n_live, dtype=np.int32)
         live = np.ones(n_live, dtype=bool) if n_live < LANES else None
         t = 0
         while n_live >= LANES and t < cap:  # compacted steps
@@ -211,7 +196,7 @@ def _ladder_mc(p, runs: int, cap: int, seed: int, workers: int,
                 h, live = h.take(keep), live.take(keep)
             k = min(TILE // h.size, cap - t)
             vert = rng.random((k, h.size)) < p
-            inc = (~vert).astype(dtype)  # a horizontal step adds 1
+            inc = (~vert).astype(np.int32)  # a horizontal step adds 1
             sign = 2 * inc
             sign -= 1  # and a vertical one negates
             for i in range(k):
@@ -266,8 +251,7 @@ def _ladder_dp(p, t_max: int, target_row: Row) -> HittingDist:
     exact; float p runs the same updates in float64, where every term is
     nonnegative, so nothing cancels.
     """
-    if t_max < 1 or t_max > DP_HORIZON_GUARD:
-        raise ValueError(f"t_max must lie in [1, {DP_HORIZON_GUARD}]")
+    t_max = as_int(t_max, "t_max", 1, DP_HORIZON_GUARD)
     p = as_prob(p)
     rational = isinstance(p, Fraction)
     if rational:

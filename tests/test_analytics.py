@@ -15,7 +15,7 @@ from qrewind.analytics import (GENFUNC_SERIES_GUARD, REQUIRED_M_CAP,
                                first_passage_pmf, first_passage_profile,
                                gen_binomial, genfunc_closed, genfunc_series,
                                required_m, return_pmf, return_profile)
-from qrewind.engine import ProtocolConfig
+from qrewind.engine import ProtocolConfig, success_curve
 
 GRID = [Fraction(k, 10) for k in range(11)]
 
@@ -51,6 +51,43 @@ def test_entry_points_reject_p_outside_unit_interval(p):
     for call in ENTRY_POINTS.values():
         with pytest.raises(ValueError, match=r"probability must lie in \[0, 1\], got"):
             call(p)
+
+
+# every public entry point that takes a size, given that size as is, with the
+# name its errors carry
+SIZED_ENTRY_POINTS = {
+    "first_passage_pmf": ("t", lambda n: first_passage_pmf(0.3, n)),
+    "return_pmf": ("t", lambda n: return_pmf(0.3, n)),
+    "cumulative_success": ("m", lambda n: cumulative_success(0.3, n)),
+    "cumulative_success_rational": ("m", lambda n: cumulative_success(Fraction(1, 3), n)),
+    "first_passage_dist": ("t_max", lambda n: first_passage_dist(0.3, n)),
+    "first_passage_dist_rational": ("t_max", lambda n: first_passage_dist(Fraction(1, 3), n)),
+    "cumulative_profile": ("t_max", lambda n: cumulative_profile(0.3, n)),
+    "genfunc_series": ("t_max", lambda n: genfunc_series(0.3, n)),
+    "dp_first_passage": ("t_max", lambda n: walk.dp_first_passage(0.3, n)),
+    "success_curve": ("m_max", lambda n: success_curve(0.3, n)),
+    "required_m": ("s", lambda n: required_m(0.3, 0.9, dt=0.5, tau=0.25, s=n)),
+}
+
+
+@pytest.mark.parametrize("size", [10.5, 2.5, 10.0, -3, "5"])
+def test_entry_points_reject_bad_sizes(size):
+    for name, call in SIZED_ENTRY_POINTS.values():
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            call(size)
+
+
+def test_first_passage_dist_rejects_an_empty_horizon():
+    # both backings reject it, as dp_first_passage does
+    for p in (0.3, Fraction(1, 3)):
+        with pytest.raises(ValueError, match="^t_max must be at least 1"):
+            first_passage_dist(p, 0)
+
+
+def test_entry_points_take_numpy_int_sizes():
+    for _, call in SIZED_ENTRY_POINTS.values():
+        for size in (np.int64(5), np.int32(5), np.uint8(5)):
+            np.testing.assert_equal(call(size), call(5))
 
 
 def test_gen_binomial_values():
@@ -281,9 +318,10 @@ def test_required_m_is_the_streamed_profile(p_min):
 
 
 # even budgets at the edges of required_m's first two coefficient blocks:
-# the exact first term, the last budget of block one and the first of block two
+# the exact first term, two budgets inside block one, the last budget of
+# block one and the first of block two
 FIRST_BLOCK_LAST = 2 + 2 * analytics.REQUIRED_M_BLOCK
-REQUIRED_M_EDGES = (2, FIRST_BLOCK_LAST, FIRST_BLOCK_LAST + 2)
+REQUIRED_M_EDGES = (2, 514, 516, FIRST_BLOCK_LAST, FIRST_BLOCK_LAST + 2)
 
 
 @pytest.mark.parametrize("p_min", [0.005, 0.05, 0.3])
@@ -294,12 +332,12 @@ def test_required_m_at_block_edges(p_min, m):
     assert (plan.m, plan.worst_grid_prob) == (m, ret_cum[m])
 
 
-@pytest.mark.parametrize("cap", [300, FIRST_BLOCK_LAST, FIRST_BLOCK_LAST + 1,
-                                 FIRST_BLOCK_LAST + 2, 1001])
+@pytest.mark.parametrize("cap", [300, 514, 515, 516, 1001, FIRST_BLOCK_LAST,
+                                 FIRST_BLOCK_LAST + 1, FIRST_BLOCK_LAST + 2])
 def test_required_m_cap_inside_a_block(monkeypatch, cap):
     # a cap inside a block ends the search at the cap, odd caps included
     p_min = 0.05
-    target = cumulative_profile(p_min, 1002)[1]
+    target = cumulative_profile(p_min, FIRST_BLOCK_LAST + 4)[1]
     monkeypatch.setattr(analytics, "REQUIRED_M_CAP", cap)
     last = cap - cap % 2
     assert required_m(p_min, float(target[last])).m == last
@@ -307,12 +345,11 @@ def test_required_m_cap_inside_a_block(monkeypatch, cap):
         required_m(p_min, float(target[last + 2]))
 
 
-@pytest.mark.parametrize("first, last", [(1, 1), (1, 4), (3, 96)])
-def test_required_m_does_not_depend_on_the_block_sizes(monkeypatch, first, last):
+@pytest.mark.parametrize("size", [1, 4, 96])
+def test_required_m_does_not_depend_on_the_block_sizes(monkeypatch, size):
     cases = [(p_min, q) for p_min in (0.05, 0.3, 1.0) for q in (0.1, 0.5, 0.9)]
     plans = [required_m(p_min, q, dt=0.5, tau=0.25, s=2) for p_min, q in cases]
-    monkeypatch.setattr(analytics, "REQUIRED_M_BLOCK", first)
-    monkeypatch.setattr(analytics, "REQUIRED_M_BLOCK_MAX", last)
+    monkeypatch.setattr(analytics, "REQUIRED_M_BLOCK", size)
     assert [required_m(p_min, q, dt=0.5, tau=0.25, s=2) for p_min, q in cases] == plans
 
 

@@ -444,6 +444,16 @@ def test_cli_error_paths(tmp_path, capsys):
                      "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+    # sizes past the 47-bit address space: numpy refuses them before it
+    # allocates, and the mc sampler's int32 positions refuse the cap first
+    huge = str(10**14)
+    for argv in (["curve", "--p", "0.3", "--mmax", huge],
+                 *(["dist", "--p", "0.3", "--tmax", huge, "--method", method]
+                   for method in ("theorem", "mc"))):
+        assert cli.main([*argv, "--out", str(out)]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1 and captured.out == "", argv
+        assert not out.exists()
     mats = tmp_path / "mats.json"
     cli.save_matrices(0.5 * HADAMARD, SIGMA_Z, mats)  # not unitary: no invariant p
     assert cli.main(["curve", "--matrices", str(mats), "--mmax", "4",

@@ -259,10 +259,11 @@ def test_tiled_sampler_memory_peak():
 
 
 def test_position_dtype_fits_the_cap():
-    # |h| <= t <= cap: int32 up to cap = 2^31 - 1, int64 from 2^31 on
-    assert walk._position_dtype(1) is np.int32
-    assert walk._position_dtype(2**31 - 1) is np.int32
-    assert walk._position_dtype(2**31) is np.int64
+    # positions are int32 and |h| <= t <= cap, so a cap of 2^31 is refused
+    # before its counts array is allocated
+    assert walk.MAX_CAP == 2**31 - 1
+    with pytest.raises(ValueError, match=r"^cap must lie in \[0, 2147483647\]"):
+        sample_first_passage_batch(0.3, 10, 2**31, 1)
 
 
 def _vector_residual(a, b):
