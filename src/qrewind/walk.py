@@ -41,8 +41,8 @@ MAX_STREAMS = 1024  # bound on workers: SeedSequence.spawn allocates per stream
 # horizontal step adds 1 to h and a vertical one negates it. row + pos has
 # the parity of the step count t, so h = 0 is the upper origin at odd t
 # and the lower one at even t, and both kernels test h == 0 only on steps
-# of the target's parity, with no rail stored. Below
-# LANES lanes both shed finished runs by one rule, halving: once at most
+# of the target's parity, with no rail stored.
+# Below LANES lanes both shed finished runs by one rule, halving: once at most
 # half of a block's lanes are live, it keeps them, in order, in its first
 # width >> k lanes. Each draw is one uniform per lane the block holds, so
 # the draws after a halving depend on it. _ladder_mc compacts finished
