@@ -103,12 +103,12 @@ class _CompiledProtocol:
     branches stacks these real forms of x^ and y^, w_pow_real is that of
     W^s, and refs maps psi0 to the reference columns of _run_lanes.
     In contraction mode the maps are unscaled and p is None. In unitary
-    mode (the fast path) p is mat2._vertical_weight of x^, the weight
-    |x^ psi|^2 of every unit state and bit for bit
-    mat2.branch_prob_invariant, and x^ and y^ are divided by
-    the square roots of their weights p and ||y^||_F^2 / 2 = 1 - p. That
-    makes both isometries, up to about 1e-16/sqrt(p) and 1e-16/sqrt(1 - p)
-    from the roundoff in their entries. A map that is exactly zero (p = 0
+    mode (the fast path) p is mat2._vertical_weight of x^: the weight
+    |x^ psi|^2 of every unit state, and bit for bit
+    mat2.branch_prob_invariant. x^ and y^ are divided by the square roots
+    of their weights p and ||y^||_F^2 / 2 = 1 - p. That makes both
+    isometries, up to about 1e-16/sqrt(p) and 1e-16/sqrt(1 - p) from the
+    roundoff in their entries. A map that is exactly zero (p = 0
     or p = 1) is never drawn and stays unscaled. Nothing renormalises the
     state; the final fidelity against W^{-s} psi0 certifies the run.
     """
