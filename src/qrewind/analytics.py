@@ -367,16 +367,11 @@ class HittingDist:
     """Probability mass function over step counts t = 1..t_max.
 
     probs[i] holds P(T = i + 1); entries on the wrong parity are stored as
-    explicit zeros so convolution stays index-exact. backing is derived
-    from the entries: "rational" when every one is a Fraction, else "float".
+    explicit zeros so convolution stays index-exact. The entries are
+    Fractions from the exact routes and floats otherwise.
     """
 
     probs: list
-
-    @property
-    def backing(self) -> str:
-        rational = self.probs and all(isinstance(v, Fraction) for v in self.probs)
-        return "rational" if rational else "float"
 
     def prob(self, t: int):
         if not 1 <= t <= len(self.probs):
@@ -388,7 +383,7 @@ class HittingDist:
 
 
 def first_passage_dist(p, t_max: int) -> HittingDist:
-    """HittingDist of T1 from the closed formula, matching p's backing.
+    """HittingDist of T1 from the closed formula: Fractions for a rational p, else floats.
 
     ValueError for a t_max that is not a positive integer, as dp_first_passage.
     """

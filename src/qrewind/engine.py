@@ -97,36 +97,31 @@ class _CompiledProtocol:
     """Per-config precomputation shared by every run of a campaign.
 
     xh and yh are the unscaled branch maps x^ = (WV - VW)/2 and
-    y^ = (VW + WV)/2 of mat2.branch_maps, for the scalar reference
-    _run_compiled. The lane kernel holds each state as the real column
-    [Re psi; Im psi], on which a map A + iB acts as [[A, -B], [B, A]]:
-    branches stacks these real forms of x^ and y^, w_pow_real is that of
-    W^s, and refs maps psi0 to the reference columns of _run_lanes.
-    In contraction mode the maps are unscaled and p is None. In unitary
-    mode (the fast path) p is mat2._vertical_weight of x^: the weight
-    |x^ psi|^2 of every unit state, and bit for bit
-    mat2.branch_prob_invariant. x^ and y^ are divided by the square roots
-    of their weights p and ||y^||_F^2 / 2 = 1 - p. That makes both
-    isometries, up to about 1e-16/sqrt(p) and 1e-16/sqrt(1 - p) from the
-    roundoff in their entries. A map that is exactly zero (p = 0
-    or p = 1) is never drawn and stays unscaled. Nothing renormalises the
-    state; the final fidelity against W^{-s} psi0 certifies the run.
+    y^ = (VW + WV)/2 of mat2.branch_maps. In contraction mode p is None. In
+    unitary mode (the fast path) p is mat2._vertical_weight of x^: the
+    weight |x^ psi|^2 of every unit state, and bit for bit
+    mat2.branch_prob_invariant. The scalar reference _run_compiled applies
+    these fields as they are and renormalises after every branch; the lane
+    kernel applies the real forms that _lane_forms builds from them once
+    per campaign. Either way the final fidelity against W^{-s} psi0
+    certifies the run.
     """
 
     xh: tuple[complex, complex, complex, complex]   # (WV - VW)/2 entries
     yh: tuple[complex, complex, complex, complex]   # (VW + WV)/2 entries
-    branches: np.ndarray     # (8, 4) real: branches @ psi = [x^ psi; y^ psi]
     p: float | None          # unitary vertical weight; None in contraction mode
     w_pow: np.ndarray        # W^s, applied at the rewind wait
-    w_pow_real: np.ndarray   # (4, 4) real form of W^s, for the lane kernel
     w_inv_pow: np.ndarray    # W^{-s}, defines the reference state
-    refs: np.ndarray         # (8, 4) real forms of W^{-s} and i W^{-s}
     m: int
     psi0: np.ndarray | None
 
 
 def _compile(cfg: ProtocolConfig) -> _CompiledProtocol:
-    """Precompute the branch maps and W powers of a config that validate() returned."""
+    """Precompute the branch maps and W powers of a config that validate() returned.
+
+    ValueError naming s when W^s or W^{-s} is not finite: in contraction
+    mode a small singular value of W overflows W^{-s} at large s.
+    """
     if cfg.v is None:
         raise ValueError("run_quantum_protocol needs matrices; p_override "
                          "configs run through monte_carlo")
@@ -140,28 +135,17 @@ def _compile(cfg: ProtocolConfig) -> _CompiledProtocol:
                              "contraction mode")
         w_inv = np.eye(2, dtype=complex) if cfg.s == 0 else \
             np.array([[w[1, 1], -w[0, 1]], [-w[1, 0], w[0, 0]]], dtype=complex) / det
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_pow, w_inv_pow = (np.linalg.matrix_power(z, cfg.s) for z in (w, w_inv))
+    if not (np.isfinite(w_pow).all() and np.isfinite(w_inv_pow).all()):
+        raise ValueError(f"W^s or W^-s overflows at s = {cfg.s}: cannot rewind")
     half_comm, half_anti = branch_maps(v, w)
-    w_pow, w_inv_pow = (np.linalg.matrix_power(z, cfg.s) for z in (w, w_inv))
-    maps = np.stack([half_comm, half_anti, w_pow, w_inv_pow, 1j * w_inv_pow])
-    p = None
-    if cfg.mode == "unitary":
-        p = float(mat2._vertical_weight(half_comm))
-        q = float(np.vdot(half_anti, half_anti).real) / 2.0
-        for k, weight in enumerate((p, q)):
-            if weight > 0.0:
-                maps[k] /= math.sqrt(weight)
-    re, im = maps.real, maps.imag  # real forms, stacked as (20, 4) rows
-    real = np.concatenate([np.concatenate([re, im], axis=1),
-                           np.concatenate([-im, re], axis=1)], axis=2).reshape(-1, 4)
     return _CompiledProtocol(
         xh=tuple(complex(z) for z in half_comm.ravel()),
         yh=tuple(complex(z) for z in half_anti.ravel()),
-        branches=real[:8],
-        p=p,
+        p=float(mat2._vertical_weight(half_comm)) if cfg.mode == "unitary" else None,
         w_pow=w_pow,
-        w_pow_real=real[8:12],
         w_inv_pow=w_inv_pow,
-        refs=real[12:],
         m=cfg.m,
         psi0=cfg.psi0,
     )
@@ -226,16 +210,18 @@ def run_quantum_protocol(cfg: ProtocolConfig, rng: np.random.Generator,
                          psi0: np.ndarray | None = None) -> RunRecord:
     """One amplitude-level run of the trimmed protocol.
 
-    Follows the branch semantics of qgate.apply_q / qgate.sample_branch
-    while tracking the walk node; the 2x2 half-commutator maps are hoisted
-    out and the inner loop works on unpacked complex scalars (runs are a
-    few microseconds per gate instead of numpy-call-bound). On the run's
-    first arrival at the top origin the free evolution W^s is applied; a
-    subsequent return to the lower origin is a success, with fidelity
-    |<W^{-s} psi0 | psi_final>|^2 recorded. The run fails when the gate
-    budget is exhausted (TrimFail) or an abort branch fires (contraction
-    mode only). A psi0 given here replaces cfg.psi0 and is validated as
-    that field is.
+    Each gate applies the branch maps x^ psi and y^ psi of
+    mat2.branch_maps, draws one uniform u, takes the vertical branch when
+    u < |x^ psi|^2, the horizontal one when u < |x^ psi|^2 + |y^ psi|^2,
+    aborts otherwise, and renormalises the branch it takes, while tracking
+    the walk node. The maps are hoisted out and the inner loop works on
+    unpacked complex scalars (runs are a few microseconds per gate instead
+    of numpy-call-bound). On the run's first arrival at the top origin the
+    free evolution W^s is applied; a subsequent return to the lower origin
+    is a success, with fidelity |<W^{-s} psi0 | psi_final>|^2 recorded. The
+    run fails when the gate budget is exhausted (TrimFail) or an abort
+    branch fires (contraction mode only). A psi0 given here replaces
+    cfg.psi0 and is validated as that field is.
     """
     if psi0 is not None:
         cfg = replace(cfg, psi0=psi0)
@@ -281,6 +267,34 @@ def _haar_lanes(rng: np.random.Generator, n: int) -> np.ndarray:
     return (z * (1.0 / nrm)[:, None]).T
 
 
+def _lane_forms(cp: _CompiledProtocol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(branches, w_pow, refs): the real forms of cp's maps that _run_lanes applies.
+
+    The lane kernel holds each state as the real column [Re psi; Im psi], on
+    which a map A + iB acts as [[A, -B], [B, A]]. branches (8, 4) stacks the
+    real forms of x^ and y^, so branches @ psi = [x^ psi; y^ psi]; w_pow
+    (4, 4) is that of W^s; refs (8, 4) are those of W^{-s} and i W^{-s},
+    which map psi0 to the reference columns. In unitary mode x^ and y^ are
+    divided by the square roots of their weights cp.p and
+    ||y^||_F^2 / 2 = 1 - p. That makes both isometries, up to about
+    1e-16/sqrt(p) and 1e-16/sqrt(1 - p) from the roundoff in their entries,
+    so the lane kernel does not renormalise in that mode. A map that is
+    exactly zero (p = 0 or p = 1) is never drawn and stays unscaled.
+    monte_carlo builds these forms once per campaign.
+    """
+    maps = np.stack([np.reshape(cp.xh, (2, 2)), np.reshape(cp.yh, (2, 2)), cp.w_pow,
+                     cp.w_inv_pow, 1j * cp.w_inv_pow])
+    if cp.p is not None:
+        q = float(np.vdot(maps[1], maps[1]).real) / 2.0
+        for k, weight in enumerate((cp.p, q)):
+            if weight > 0.0:
+                maps[k] /= math.sqrt(weight)
+    re, im = maps.real, maps.imag  # real forms, stacked as (20, 4) rows
+    real = np.concatenate([np.concatenate([re, im], axis=1),
+                           np.concatenate([-im, re], axis=1)], axis=2).reshape(-1, 4)
+    return real[:8], real[8:12], real[12:]
+
+
 def _norm2(amps: np.ndarray) -> np.ndarray:
     """Squared norm of each column: |psi|^2 of real-form states, |z|^2 of [Re z; Im z]."""
     return (amps * amps).sum(axis=0)
@@ -299,22 +313,23 @@ class _Tally:
 
 
 def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
-               tally: _Tally) -> None:
+               forms: tuple[np.ndarray, np.ndarray, np.ndarray], tally: _Tally) -> None:
     """Run one block of `width` amplitude-level protocol runs and tally them.
 
     Each lane holds one run: its signed position h, as walk._ladder_mc
     holds it (walk.LANES gives the encoding and the parity rule), in int64,
     which steps faster here than int32; its alive flag; its real-form state
-    psi (see _CompiledProtocol); and ref, whose dot products with psi are
-    Re and Im <W^{-s} psi0 | psi>. Gate t applies both branch maps in one
-    real matmul. A lane with h = 0 has arrived at the top origin after an
-    odd gate and returned to the lower one after an even gate. The
-    block sheds finished runs by walk.halve after any gate, the halving
-    rule that walk._ladder_mc shares; dead lanes among those it keeps stay
-    masked. Each gate draws one uniform per lane the block holds, so the
-    draws after a halving depend on it (the sample's law does not).
+    psi; and ref, whose dot products with psi are Re and Im
+    <W^{-s} psi0 | psi>. forms are cp's real forms from _lane_forms. Gate t
+    applies both branch maps in one real matmul. A lane with h = 0 has
+    arrived at the top origin after an odd gate and returned to the lower
+    one after an even gate. The block sheds finished runs by walk.halve
+    after any gate, the halving rule that walk._ladder_mc shares; dead
+    lanes among those it keeps stay masked. Each gate draws one uniform per
+    lane the block holds, so the draws after a halving depend on it (the
+    sample's law does not).
 
-    Unitary mode is the fast path: the maps of cp are isometries, the
+    Unitary mode is the fast path: the branch maps are isometries, the
     branch draw is u < cp.p and nothing is renormalised, so no run ends at
     an odd gate and those gates skip the tally. Contraction mode measures
     both weights per lane, as _run_compiled does: u beyond their sum aborts
@@ -327,7 +342,8 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
     """
     psi = (_haar_lanes(rng, width) if cp.psi0 is None else
            np.repeat(np.concatenate([cp.psi0.real, cp.psi0.imag])[:, None], width, axis=1))
-    ref = (cp.refs @ psi).reshape(2, 4, width)
+    branches, w_pow, refs = forms
+    ref = (refs @ psi).reshape(2, 4, width)
     ref /= np.sqrt(_norm2(ref[0]))
     h = np.zeros(width, dtype=np.int64)
     alive = np.ones(width, dtype=bool)
@@ -335,7 +351,7 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
     n_alive = width
     for t in range(1, cp.m + 1):
         u = rng.random(h.size)
-        amps = cp.branches @ psi
+        amps = branches @ psi
         if unitary:
             vert, live = u < cp.p, alive
             psi = np.where(vert, amps[:4], amps[4:])
@@ -348,7 +364,7 @@ def _run_lanes(rng: np.random.Generator, width: int, cp: _CompiledProtocol,
         if t & 1:  # arrivals only
             arrived = live & (h == 0)
             if arrived.any():  # wait W^s at the top origin
-                waited = cp.w_pow_real @ psi
+                waited = w_pow @ psi
                 if not unitary:
                     nrm = np.sqrt(_norm2(waited))
                     live &= ~(arrived & (nrm < 1e-300))
@@ -417,8 +433,9 @@ def monte_carlo(cfg: ProtocolConfig) -> Statistics:
             tally.hist[cfg.m] += sample.timeouts
     else:
         cp = _compile(cfg)
+        forms = _lane_forms(cp)
         for rng, n in chunks(cfg.seed, cfg.runs, cfg.workers, LANES):
-            _run_lanes(rng, n, cp, tally)
+            _run_lanes(rng, n, cp, forms, tally)
     n_runs = sum(tally.hist.values())
     fidelities = cfg.v is not None and tally.n_success > 0
     return Statistics(

@@ -80,27 +80,18 @@ def operator_norm(a: np.ndarray):
 
 
 def _unitary(a: np.ndarray):
-    """is_unitary without the coercion, one flag per matrix of a stack."""
+    """a^dag a within INPUT_TOL of I (Frobenius), one flag per matrix of a stack."""
     return frobenius_norm(_gram(a) - IDENTITY) <= INPUT_TOL
 
 
 def _contraction(a: np.ndarray):
-    """is_contraction without the coercion, one flag per matrix of a stack."""
+    """Operator norm at most 1 + INPUT_TOL (the abort bound), one flag per matrix of a stack."""
     return operator_norm(a) <= 1.0 + INPUT_TOL
 
 
 def _unit_state(psi: np.ndarray):
     """Norm within INPUT_TOL of 1, one flag per state of a (..., 2) stack."""
     return np.abs(np.sqrt(np.vecdot(psi, psi).real) - 1.0) <= INPUT_TOL
-
-
-def is_unitary(a) -> bool:
-    return _unitary(as_mat2(a))
-
-
-def is_contraction(a) -> bool:
-    """Operator norm at most 1 + INPUT_TOL (the abort bound is an operator-norm bound)."""
-    return _contraction(as_mat2(a))
 
 
 def commutator(a, b) -> np.ndarray:
@@ -127,7 +118,12 @@ class ProportionalityReport:
 
 
 def _proportional(a: np.ndarray, b: np.ndarray, tol: float) -> ProportionalityReport:
-    """check_proportional of a[i] against b[i] for stacks (..., 2, 2)."""
+    """Quantitative test whether a[i] is proportional to b[i], for stacks (..., 2, 2).
+
+    The scalar is the Hilbert-Schmidt least-squares fit <B,A>/<B,B>; the
+    verdict holds when the fit residual is below tol * max(|A|, |B|, NORM_FLOOR).
+    B = 0 is handled separately: then A must itself vanish (within NORM_FLOOR).
+    """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
     lead = a.shape[:-2]
@@ -144,18 +140,6 @@ def _proportional(a: np.ndarray, b: np.ndarray, tol: float) -> ProportionalityRe
     scale = np.maximum(np.maximum(a_norm, b_norm), NORM_FLOOR)
     verdict = np.where(b_zero, both_zero, residual <= tol * scale)
     return ProportionalityReport(scalar, residual, both_zero, verdict)
-
-
-def check_proportional(a, b, tol: float = DEFAULT_TOL) -> ProportionalityReport:
-    """Quantitative test whether A is proportional to B.
-
-    The scalar is the Hilbert-Schmidt least-squares fit <B,A>/<B,B>; the
-    verdict holds when the fit residual is below tol * max(|A|, |B|, NORM_FLOOR).
-    B = 0 is handled separately: then A must itself vanish (within NORM_FLOOR).
-    This is the N = 1 view of the stacked test that verify_word_identities
-    runs.
-    """
-    return _proportional(_as_stack(a, stack=False), _as_stack(b, stack=False), tol)[0]
 
 
 # ── Samplers ─────────────────────────────────────────────────────────────

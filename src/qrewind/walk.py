@@ -310,10 +310,10 @@ def run_walk_protocol(p: float, m: int, rng: np.random.Generator) -> TrimmedOutc
     Phase 1 walks from the lower origin until absorption at the top origin;
     phase 2 continues the same graph until the walk closes at the lower
     origin. Success means both phases complete within m steps in total (the
-    rewind waiting period costs no gates).
+    rewind waiting period costs no gates). ValueError naming m for a budget
+    that is not an integer of at least 2, as ProtocolConfig.validate.
     """
-    if m < 2:
-        raise ValueError("gate budget must be at least 2")
+    m = as_int(m, "m", 2)
     p = float(as_prob(p))
     steps = 0
     row, pos = 0, 0

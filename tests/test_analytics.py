@@ -16,6 +16,7 @@ from qrewind.analytics import (GENFUNC_SERIES_GUARD, REQUIRED_M_CAP,
                                gen_binomial, genfunc_closed, genfunc_series,
                                required_m, return_pmf, return_profile)
 from qrewind.engine import ProtocolConfig, success_curve
+from reference import backing
 
 GRID = [Fraction(k, 10) for k in range(11)]
 
@@ -65,6 +66,8 @@ SIZED_ENTRY_POINTS = {
     "cumulative_profile": ("t_max", lambda n: cumulative_profile(0.3, n)),
     "genfunc_series": ("t_max", lambda n: genfunc_series(0.3, n)),
     "dp_first_passage": ("t_max", lambda n: walk.dp_first_passage(0.3, n)),
+    "run_walk_protocol": ("m", lambda n: walk.run_walk_protocol(0.3, n,
+                                                                np.random.default_rng(0))),
     "success_curve": ("m_max", lambda n: success_curve(0.3, n)),
     "required_m": ("s", lambda n: required_m(0.3, 0.9, dt=0.5, tau=0.25, s=n)),
 }
@@ -437,12 +440,12 @@ def test_exact_pmfs_keep_no_per_p_cache():
 
 def test_hitting_dist_container():
     dist = first_passage_dist(Fraction(1, 2), 5)
-    assert dist.backing == "rational"
+    assert backing(dist) == "rational"
     assert dist.prob(1) == Fraction(1, 2)
     assert sum(dist.probs) == Fraction(11, 16)
     with pytest.raises(IndexError):
         dist.prob(6)
     floats = first_passage_dist(0.5, 5)
-    assert floats.backing == "float"
-    assert HittingDist([Fraction(1, 2), 0.25]).backing == "float"
+    assert backing(floats) == "float"
+    assert backing(HittingDist([Fraction(1, 2), 0.25])) == "float"
     np.testing.assert_allclose(floats.as_floats(), [0.5, 0, 0.125, 0, 0.0625])

@@ -490,6 +490,14 @@ def test_cli_error_paths(tmp_path, capsys):
                      "--seed", "1", "--workers", workers, "--out", str(sim)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not sim.exists()
+    # W^{-104} of W = diag(1, 1e-3) overflows: the stats would read Infinity and NaN
+    con = tmp_path / "con.json"
+    cli.save_matrices(0.9 * haar_unitary(np.random.default_rng(5)), np.diag([1, 1e-3]), con)
+    assert cli.main(["simulate", "--matrices", str(con), "--s", "104", "--m", "40",
+                     "--runs", "4000", "--seed", "3", "--contraction", "--out", str(sim)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and "s = 104" in captured.err
+    assert captured.out == "" and not sim.exists()
 
     # an instance of more words than mat2.WORD_CHUNK is rejected before any draw
     assert cli.main(["verify", "--trials", "2", "--smax", "4095"]) == 2

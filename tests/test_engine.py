@@ -7,7 +7,8 @@ import pytest
 
 from qrewind import mat2, qgate
 from qrewind.analytics import cumulative_success, return_pmf
-from qrewind.engine import (LANES, ProtocolConfig, RunOutcome, _compile, _haar_lanes, _norm2,
+from qrewind.engine import (LANES, ProtocolConfig, RunOutcome, _compile, _haar_lanes,
+                            _lane_forms, _norm2, _run_compiled, _run_lanes, _Tally,
                             monte_carlo, run_quantum_protocol, success_curve)
 from qrewind.mat2 import (HADAMARD, SIGMA_X, SIGMA_Y, SIGMA_Z, branch_prob_invariant,
                           haar_unitary)
@@ -490,7 +491,7 @@ def test_fast_path_maps_are_isometries(p_exact):
         assert cp.p == pytest.approx(p_exact, rel=1e-6)
         assert branch_prob_invariant(v, w) == cp.p
         assert branch_prob_invariant(v, w) == pytest.approx(p_exact, rel=1e-6)
-        amps = cp.branches @ psi
+        amps = _lane_forms(cp)[0] @ psi
         assert np.abs(_norm2(amps[:4]) - 1.0).max() <= 1e-9
         assert np.abs(_norm2(amps[4:]) - 1.0).max() <= 1e-9
 
@@ -505,3 +506,34 @@ def test_fast_path_fidelity_is_two_sided():
         assert stats.n_success > 100
         assert stats.min_fidelity >= 1 - 1e-9
         assert stats.mean_fidelity <= 1 + 1e-9
+
+
+def test_fidelity_certificate_reads_a_wrong_wait():
+    # W^(s+1) in place of W^s ends a run at W^{-(s+1)} psi0, not W^{-s} psi0.
+    # W^{-6} turns most psi0 toward W's small eigenvector, where the two
+    # nearly agree, so most fidelities sit near 1 and a few far below; with
+    # m = 2 every success ends at gate 2, in one reduction of the block
+    w = np.diag([1, -0.5])
+    cp = _compile(ProtocolConfig(v=HADAMARD, w=w, s=6, m=2, mode="contraction").validate())
+    wrong = replace(cp, w_pow=np.linalg.matrix_power(w, 7))
+    for compiled, certified in ((cp, True), (wrong, False)):
+        tally = _Tally()
+        _run_lanes(np.random.default_rng(3), LANES, compiled, _lane_forms(compiled), tally)
+        rng = np.random.default_rng(4)
+        fids = [rec.fidelity for rec in (_run_compiled(compiled, rng) for _ in range(1000))
+                if rec.fidelity is not None]
+        assert tally.n_success > 40 and len(fids) > 40
+        for fid_min in (tally.fid_min, min(fids)):
+            if certified:
+                assert fid_min >= 1 - 1e-9
+            else:
+                assert fid_min < 1 - 1e-3
+
+
+def test_overflowing_rewind_is_rejected():
+    # W^{-104} of diag(1, 1e-3) overflows
+    v, w = 0.9 * haar_unitary(np.random.default_rng(5)), np.diag([1, 1e-3])
+    cfg = ProtocolConfig(v=v, w=w, s=104, m=40, mode="contraction")
+    for call in (monte_carlo, lambda c: run_quantum_protocol(c, np.random.default_rng(0))):
+        with pytest.raises(ValueError, match="overflows at s = 104"):
+            call(cfg)

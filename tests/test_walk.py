@@ -12,10 +12,11 @@ from qrewind import walk
 from qrewind.analytics import first_passage_pmf, return_pmf
 from qrewind.engine import ProtocolConfig, RunOutcome, run_quantum_protocol
 from qrewind.mat2 import haar_unitary
-from qrewind.qgate import BranchOutcome, apply_q, random_state, sample_branch
+from qrewind.qgate import random_state
 from qrewind.walk import (LANES, dp_first_passage, dp_return_time,
                           run_walk_protocol, sample_first_passage_batch,
                           sample_return_batch)
+from reference import BranchOutcome, apply_q, backing, sample_branch
 
 
 def test_sample_first_passage_edges():
@@ -73,7 +74,7 @@ def test_batch_sampler_deterministic_and_worker_sensitive():
 def test_dp_matches_formula_exactly(num):
     p = Fraction(num, 10)
     dist = dp_first_passage(p, 41)
-    assert dist.backing == "rational"
+    assert backing(dist) == "rational"
     for t in range(1, 42):
         assert dist.prob(t) == first_passage_pmf(p, t)
 
@@ -82,7 +83,7 @@ def test_dp_float_mode_close_to_rational():
     for p in (0.3, 0.5, 0.77):
         df = dp_first_passage(p, 41)
         dr = dp_first_passage(Fraction(p), 41)
-        assert df.backing == "float"
+        assert backing(df) == "float"
         assert max(abs(df.prob(t) - float(dr.prob(t))) for t in range(1, 42)) < 1e-12
 
 
@@ -106,23 +107,23 @@ rational_probs = st.one_of(
 @given(p=rational_probs, t_max=st.integers(1, 41))
 def test_ladder_dp_matches_closed_formulas(p, t_max):
     first = dp_first_passage(p, t_max)
-    assert first.backing == "rational"
+    assert backing(first) == "rational"
     assert first.probs == [first_passage_pmf(p, t) for t in range(1, t_max + 1)]
     ret = dp_return_time(p, min(t_max, 25))
-    assert ret.backing == "rational"
+    assert backing(ret) == "rational"
     assert ret.probs == [return_pmf(p, t) for t in range(1, len(ret.probs) + 1)]
     for exact, dp in ((first, dp_first_passage), (ret, dp_return_time)):
         approx = dp(float(p), len(exact.probs))
-        assert approx.backing == "float"
+        assert backing(approx) == "float"
         assert all(abs(a - float(e)) <= 1e-12
                    for a, e in zip(approx.probs, exact.probs))
 
 
 @pytest.mark.parametrize("p", [0, 1, Fraction(0), Fraction(1), 0.0, 1.0])
 def test_ladder_dp_deterministic_edges(p):
-    backing = "float" if isinstance(p, float) else "rational"
+    kind = "float" if isinstance(p, float) else "rational"
     first, ret = dp_first_passage(p, 6), dp_return_time(p, 6)
-    assert first.backing == ret.backing == backing
+    assert backing(first) == backing(ret) == kind
     # p = 1 climbs at step 1 and closes at step 2; p = 0 drifts away
     assert first.probs == [p, 0, 0, 0, 0, 0]
     assert ret.probs == [0, p, 0, 0, 0, 0]
